@@ -36,6 +36,10 @@ class NonIntegralExponent(QSeriesError):
         super().__init__(message or f"no integral product exponent at n={n}")
 
 
+class RegistryError(QSeriesError):
+    """The registry file cannot be read or is not valid JSON."""
+
+
 class ParseError(QSeriesError):
     """Syntax error in the expression language, with a byte offset."""
 

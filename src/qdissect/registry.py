@@ -9,9 +9,10 @@ proof route for the four 5-dissection theorems step by step.
 import json
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Optional
 
-from .errors import QSeriesError
+from .errors import QSeriesError, RegistryError
 from .exprlang import Evaluator
 
 PIPELINE_TARGETS = ("alpha", "beta", "gamma", "delta")
@@ -89,11 +90,14 @@ class Registry:
 
 def load_registry(path=None):
     if path is None:
-        with resources.files("qdissect.data").joinpath("identities.json").open() as fh:
-            data = json.load(fh)
+        source = resources.files("qdissect.data").joinpath("identities.json")
     else:
-        with open(path) as fh:
+        source = Path(path)
+    try:
+        with source.open() as fh:
             data = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise RegistryError(f"cannot read registry {source}: {exc}") from None
     records = [
         IdentityRecord(r["id"], r["lhs"], r["rhs"], r["order"], r.get("note", ""))
         for r in data["identities"]

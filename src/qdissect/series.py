@@ -314,44 +314,3 @@ def _promote(x, order):
         return Series(0, [x], order)
     raise TypeError(f"cannot treat {type(x).__name__} as a series")
 
-
-# module-level aliases matching the operation names used elsewhere
-
-def make(coeff_pairs, order):
-    return Series.make(coeff_pairs, order)
-
-
-def add(a, b):
-    return a.add(b)
-
-
-def sub(a, b):
-    return a.sub(b)
-
-
-def negate(a):
-    return a.negate()
-
-
-def mul(a, b):
-    return a.mul(b)
-
-
-def invert(a):
-    return a.invert()
-
-
-def substitute_power(a, m):
-    return a.substitute_power(m)
-
-
-def shift(a, k):
-    return a.shift(k)
-
-
-def q_derivative(a):
-    return a.q_derivative()
-
-
-def coefficient(a, n):
-    return a.coefficient(n)

@@ -118,6 +118,20 @@ def test_parse_error_is_reported(capsys):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"])
+def test_unreadable_registry_is_one_line_error(tmp_path, capsys, content):
+    path = tmp_path / "registry.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, "verify", "--all", "--registry", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: RegistryError: cannot read registry")
+    assert len(err.splitlines()) == 1
+
+
 def test_order_validation(capsys):
     code, _, err = run(capsys, "expand", "q", "--order", "0")
     assert code == 2

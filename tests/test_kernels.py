@@ -1,17 +1,8 @@
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdissect import _kernels, _kernels_py
-
-try:
-    from qdissect import _speedups
-except ImportError:
-    _speedups = None
-
-needs_ext = pytest.mark.skipif(_speedups is None, reason="extension not built")
+from qdissect import _kernels
 
 
 def naive_conv(a, b, out_len):
@@ -23,44 +14,42 @@ def naive_conv(a, b, out_len):
     return out
 
 
-@given(
-    st.lists(st.integers(-50, 50), max_size=12),
-    st.lists(st.integers(-50, 50), max_size=12),
-    st.integers(0, 30),
+# zero-heavy lists of mixed-sign coefficients up to 10^40, of any length up
+# to 80, so that both operands can be dense enough for the Kronecker path
+coefficients = st.integers(0, 80).flatmap(
+    lambda n: st.lists(
+        st.one_of(st.just(0), st.integers(-(10**40), 10**40)), min_size=n, max_size=n
+    )
 )
+
+
+@given(coefficients, coefficients, st.integers(0, 180))
 def test_pure_python_matches_naive(a, b, n):
-    assert _kernels_py.conv(a, b, n) == naive_conv(a, b, n)
+    # n ranges below and beyond len(a) + len(b) - 1
+    assert _kernels.conv(a, b, n) == naive_conv(a, b, n)
 
 
-@needs_ext
-@given(
-    st.lists(st.integers(-(10**25), 10**25), max_size=12),
-    st.lists(st.integers(-(10**25), 10**25), max_size=12),
-    st.integers(0, 30),
-)
-def test_object_kernel_matches_naive(a, b, n):
-    assert _speedups.conv_obj(list(a), list(b), n) == naive_conv(a, b, n)
+@given(coefficients, coefficients, st.integers(1, 180))
+def test_both_paths_match_naive(a, b, n):
+    a, b = a[:n], b[:n]
+    expected = naive_conv(a, b, n)
+    assert _kernels._schoolbook(a, b, n) == expected
+    assert _kernels._schoolbook(b, a, n) == expected
+    if a and b:
+        assert _kernels._kronecker(a, b, n) == expected
 
 
-@needs_ext
-def test_dispatch_agrees_across_magnitudes():
-    rng = random.Random(7)
-    for hi in (5, 10**4, 10**9, 10**18, 10**40):
-        a = [rng.randrange(-hi, hi + 1) for _ in range(60)]
-        b = [rng.randrange(-hi, hi + 1) for _ in range(45)]
-        assert _kernels.conv(a, b, 80) == _kernels_py.conv(a, b, 80)
-
-
-@needs_ext
-def test_int64_bound_is_respected():
-    # worst case accumulator: max|a| * max|b| * overlap
-    m = 2**31
-    a = [m] * 4
-    b = [m] * 4
-    # 2^62 * 4 overflows int64; the dispatcher must take the object path
-    assert _kernels.conv(a, b, 8) == naive_conv(a, b, 8)
-    assert _kernels._i64_safe([1], [1]) is True
-    assert _kernels._i64_safe(a, b) is False
+@pytest.mark.parametrize("bits", [7, 8, 63, 64, 127])
+def test_slot_boundary(bits):
+    # every |coefficient| is 2^b - 1, so the accumulators reach the packing bound
+    m = (1 << bits) - 1
+    for length in (33, 64, 65):
+        a = [m] * length
+        for b in ([m] * length, [-m] * length, [m if i % 3 else -m for i in range(length)]):
+            expected = naive_conv(a, b, 2 * length)
+            assert _kernels._kronecker(a, b, 2 * length) == expected
+            assert _kernels._schoolbook(a, b, 2 * length) == expected
+            assert _kernels.conv(a, b, 2 * length) == expected
 
 
 def test_zero_skipping_paths():

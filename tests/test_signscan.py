@@ -29,6 +29,20 @@ def test_series_for_matches_definitions():
     assert gamma.mul(delta).truncate(n).coefficients(0, n) == [1] + [0] * (n - 1)
 
 
+def test_alpha_above_64_bits_matches_one_dense_product():
+    # series_for multiplies expansions by convolution; the combined product
+    # R(q)*R(q^2)^2 expands by dense Pochhammer passes with no convolution
+    n = 2000
+    r_q2_squared = products.QProduct(
+        products.PochFactor(f.sign, 2 * f.offset, 2 * f.modulus, 2 * f.power)
+        for f in products.R_PRODUCT.factors
+    )
+    dense = products.product_expand(products.R_PRODUCT.combine(r_q2_squared), n)
+    alpha = series_for("alpha", n)
+    assert max(map(abs, alpha.coeffs)).bit_length() > 64
+    assert alpha == dense
+
+
 def test_first_values():
     alpha = series_for("alpha", 10)
     assert alpha.coefficients(0, 10) == [1, -1, -1, 2, 0, -2, 2, 1, -4, 1]
