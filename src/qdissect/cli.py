@@ -132,9 +132,8 @@ def cmd_pipeline(args):
 
 
 def cmd_signs(args):
-    rule = signscan.DEFAULT_RULES[args.which]
     series = signscan.series_for(args.which, args.order)
-    report = signscan.scan(args.which, rule, args.order, series=series)
+    report = signscan.scan(args.which, n=args.order, series=series)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             signscan.write_csv(fh, report, series)

@@ -37,7 +37,7 @@ class NonIntegralExponent(QSeriesError):
 
 
 class RegistryError(QSeriesError):
-    """The registry file cannot be read or is not valid JSON."""
+    """The registry file cannot be read, is not JSON, or breaks the schema."""
 
 
 class ParseError(QSeriesError):

@@ -30,6 +30,9 @@ from .series import Series
 
 _CALL_NAMES = ("G", "H", "R", "Rinv", "Gsum", "Hsum", "psi", "phi")
 
+# Deepest AST and bracket nesting ``parse`` accepts (the registry needs 15).
+MAX_DEPTH = 100
+
 
 # -- AST -------------------------------------------------------------------
 
@@ -105,7 +108,7 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([-+*/^(),;]))")
 
 def _tokenize(text):
     tokens = []
-    pos = 0
+    pos = nesting = 0
     n = len(text)
     while pos < n:
         m = _TOKEN.match(text, pos)
@@ -120,6 +123,9 @@ def _tokenize(text):
             tokens.append(("NAME", m.group(2), m.start(2)))
         else:
             tokens.append(("OP", m.group(3), m.start(3)))
+            nesting += (m.group(3) == "(") - (m.group(3) == ")")
+            if nesting > MAX_DEPTH:  # the parser recurses once per bracket
+                raise ParseError(m.start(3), f"brackets nested deeper than {MAX_DEPTH} levels")
         pos = m.end()
     tokens.append(("END", None, n))
     return tokens
@@ -158,37 +164,45 @@ class _Parser:
         kind, val, _ = self.peek()
         return kind == "OP" and val in ops
 
+    def deeper(self, depth, pos):
+        """Depth of a node over a child of ``depth`` (the expression
+        productions return (node, depth)), at most MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(pos, f"expression nested deeper than {MAX_DEPTH} levels")
+        return depth + 1
+
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr()
         kind, val, pos = self.peek()
         if kind != "END":
             raise ParseError(pos, f"unexpected trailing input {val!r}")
         return e
 
     def expr(self):
-        if self.at_op("-"):
-            self.next()
-            node = Neg(self.term())
-        else:
-            node = self.term()
+        minus = self.at_op("-") and self.next()
+        node, depth = self.term()
+        if minus:
+            node, depth = Neg(node), self.deeper(depth, minus[2])
         while self.at_op("+", "-"):
-            _, op, _ = self.next()
-            rhs = self.term()
+            _, op, pos = self.next()
+            rhs, d = self.term()
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            depth = self.deeper(max(depth, d), pos)
+        return node, depth
 
     def term(self):
-        node = self.factor()
+        node, depth = self.factor()
         while self.at_op("*", "/"):
-            _, op, _ = self.next()
-            rhs = self.factor()
+            _, op, pos = self.next()
+            rhs, d = self.factor()
             node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+            depth = self.deeper(max(depth, d), pos)
+        return node, depth
 
     def factor(self):
-        node = self.atom()
+        node, depth = self.atom()
         if self.at_op("^"):
-            self.next()
+            _, _, pos = self.next()
             neg = False
             if self.at_op("-"):
                 self.next()
@@ -196,35 +210,35 @@ class _Parser:
             n = self.expect_int()
             n = -n if neg else n
             if n == 0:
-                node = IntLit(1)
+                node, depth = IntLit(1), 1
             elif n != 1:
-                node = Pow(node, n)
-        return node
+                node, depth = Pow(node, n), self.deeper(depth, pos)
+        return node, depth
 
     def atom(self):
         kind, val, pos = self.next()
         if kind == "INT":
-            return IntLit(val)
+            return IntLit(val), 1
         if kind == "OP" and val == "(":
             e = self.expr()
             self.expect_op(")")
             return e
         if kind == "NAME":
             if val == "q":
-                return QVar()
+                return QVar(), 1
             if val == "k":
-                return Func("k")
+                return Func("k"), 1
             if val == "JP":
-                return self.jp(pos)
+                return self.jp(pos), 1
             if val == "subst":
                 self.expect_op("(")
-                inner = self.expr()
+                inner, depth = self.expr()
                 self.expect_op(",")
                 m = self.expect_int()
                 self.expect_op(")")
                 if m < 1:
                     raise ParseError(pos, "substitution power must be >= 1")
-                return inner if m == 1 else Subst(inner, m)
+                return (inner, depth) if m == 1 else (Subst(inner, m), self.deeper(depth, pos))
             if val in _CALL_NAMES:
                 return self.call(val, pos)
             raise ParseError(pos, f"unknown name {val!r}")
@@ -241,7 +255,7 @@ class _Parser:
         if m < 1:
             raise ParseError(pos, "substitution power must be >= 1")
         node = Func(name, sign) if name == "phi" else Func(name)
-        return node if m == 1 else Subst(node, m)
+        return (node, 1) if m == 1 else (Subst(node, m), 2)
 
     def q_power_arg(self):
         """Argument of a named function: a (possibly substituted) power of q."""
@@ -298,7 +312,8 @@ class _Parser:
 
 
 def parse(text):
-    """Parse expression text into an AST; raises ParseError with an offset."""
+    """Parse expression text into an AST; raises ParseError with an offset,
+    also for trees or brackets nested deeper than MAX_DEPTH."""
     return _Parser(text).parse()
 
 
@@ -364,22 +379,30 @@ def to_text(e):
 
 # -- evaluator ----------------------------------------------------------------
 
-_FUNC_EVAL = {
-    "G": products.G_product,
-    "H": products.H_product,
-    "R": products.R,
-    "Rinv": products.R_inv,
-    "Gsum": products.G_sum,
-    "Hsum": products.H_sum,
-    "psi": products.psi,
-    "k": products.ramanujan_k,
-}
+# Named series that abbreviate expression text; G, H, R, Rinv are products.
+_ABBREVIATIONS = {name: parse(text) for name, text in (
+    ("G", "JP(;q,q^4;q^5)"), ("H", "JP(;q^2,q^3;q^5)"),
+    ("R", "JP(q,q^4;q^2,q^3;q^5)"), ("Rinv", "JP(q^2,q^3;q,q^4;q^5)"),
+    ("k", "q*R(q)*R(q^2)^2"),
+)}
+
+_FUNC_EVAL = {"Gsum": products.G_sum, "Hsum": products.H_sum, "psi": products.psi}
 
 
-def _jp_product(e):
-    factors = [PochFactor(s, j, e.base, 1) for s, j in e.numerator]
-    factors += [PochFactor(s, j, e.base, -1) for s, j in e.denominator]
-    return QProduct(tuple(factors))
+def _as_product(e):
+    """QProduct of a JP node, G, H, R, Rinv, or a Subst or Pow of one; else None."""
+    if isinstance(e, Func) and e.name in _ABBREVIATIONS:
+        e = _ABBREVIATIONS[e.name]
+    if isinstance(e, JP):
+        return QProduct([PochFactor(s, j, e.base, 1) for s, j in e.numerator]
+                        + [PochFactor(s, j, e.base, -1) for s, j in e.denominator])
+    if isinstance(e, Subst):
+        p = _as_product(e.operand)
+        return None if p is None else p.transform(subst=e.power)
+    if isinstance(e, Pow):
+        p = _as_product(e.base)
+        return None if p is None else p.transform(scale=e.exponent)
+    return None
 
 
 class Evaluator:
@@ -415,6 +438,9 @@ class Evaluator:
         return s
 
     def _eval_uncached(self, e, m):
+        p = _as_product(e)
+        if p is not None:
+            return products.product_expand(p, m)
         if isinstance(e, IntLit):
             return Series(0, [e.value], m)
         if isinstance(e, QVar):
@@ -422,6 +448,8 @@ class Evaluator:
         if isinstance(e, Func):
             if e.name == "phi":
                 return products.phi(e.sign, m)
+            if e.name in _ABBREVIATIONS:
+                return self._eval(_ABBREVIATIONS[e.name], m)
             return _FUNC_EVAL[e.name](m)
         if isinstance(e, Subst):
             inner = self._eval(e.operand, (m + e.power - 1) // e.power)
@@ -435,30 +463,16 @@ class Evaluator:
         if isinstance(e, Mul):
             return self._eval(e.left, m).mul(self._eval(e.right, m))
         if isinstance(e, Div):
-            if isinstance(e.right, JP):
-                inv = products.product_expand(_jp_product(e.right).inverse(), m)
-                return self._eval(e.left, m).mul(inv)
-            if isinstance(e.right, Pow) and isinstance(e.right.base, JP):
-                inv = products.product_expand(
-                    _jp_product(e.right.base).scale_powers(-e.right.exponent), m
-                )
-                return self._eval(e.left, m).mul(inv)
+            if _as_product(e.right) is not None:
+                # a product inverts by negating its powers: no Newton step
+                return self._eval(e.left, m).mul(self._eval(Pow(e.right, -1), m))
             return _exact_div(self._eval(e.left, m), self._eval(e.right, m))
         if isinstance(e, Pow):
-            if isinstance(e.base, JP):
-                return products.product_expand(
-                    _jp_product(e.base).scale_powers(e.exponent), m
-                )
             if e.exponent < 0:
                 base = self._eval(e.base, m).pow(-e.exponent)
                 return _exact_div(Series.one(base.order), base)
             return self._eval(e.base, m).pow(e.exponent)
-        if isinstance(e, JP):
-            return products.product_expand(_jp_product(e), m)
         raise TypeError(f"not an expression node: {e!r}")
-
-    # a Pochhammer quotient inverts by flipping factor powers (handled in
-    # _eval_uncached), which keeps the working order and skips a Newton run
 
 
 def _exact_div(a, b):

@@ -1,16 +1,17 @@
 """Expansion of q-Pochhammer products and the named series built from them.
 
 A ``QProduct`` is a finite list of factors (s*q^j; q^m)^e with s = +-1.
-Expansion never convolves full series: each (1 - s*q^d) is applied with a
-single O(N) in-place pass, so a product costs O(N^2/m) integer additions.
-
-The named functions come in pairs on purpose: the sum-side expansions
-(``G_sum``, ``H_sum``, ``phi``, ``psi``) are independent of the product
-machinery and act as internal oracles for it.
+``product_expand`` rewrites it into Jacobi-triple-product theta series
+(Garvan 1999, "A q-product tutorial for a q-series MAPLE package";
+Hirschhorn 2017, "The Power of q"): each has O(sqrt(N/m)) terms below q^N,
+so multiplying or dividing by it is one O(N*sqrt(N/m)) pass.  Unpaired
+factors keep dense O(N^2/m) passes.  The sum sides (``G_sum``, ``H_sum``,
+``phi``, ``psi``) are independent of all this and act as oracles for it.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 from . import _kernels
 from .series import Series
@@ -45,19 +46,12 @@ class QProduct:
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
 
-    def inverse(self):
-        return self.scale_powers(-1)
-
-    def scale_powers(self, k):
+    def transform(self, subst=1, scale=1):
+        """The product with q -> q^subst and every power times scale."""
         return QProduct(
-            tuple(
-                PochFactor(f.sign, f.offset, f.modulus, f.power * k)
-                for f in self.factors
-            )
+            PochFactor(f.sign, f.offset * subst, f.modulus * subst, f.power * scale)
+            for f in self.factors
         )
-
-    def combine(self, other):
-        return QProduct(self.factors + other.factors)
 
     def exponent_pattern(self, m):
         """Aggregate factor exponents by residue class mod m.
@@ -107,52 +101,71 @@ def _apply_factor(c, d, s, e, n):
     c[:] = _kernels.conv(c, fc, n)
 
 
-def _expand_factors(factors, n):
-    c = [0] * n
-    c[0] = 1
-    for f in factors:
-        for d in range(f.offset, n, f.modulus):
-            _apply_factor(c, d, f.sign, f.power, n)
-    return Series(0, c, n)
+def _theta_pass(c, a, m, divide):
+    """Multiply (or divide: the unit-constant recurrence) c in place by
+    theta(a, m) = sum_k (-1)^k q^(m*k*(k-1)/2 + a*k), 0 < a < m, which is
+    (q^a;q^m)(q^(m-a);q^m)(q^m;q^m) by the Jacobi triple product."""
+    terms = []  # (d, sign) for 0 < d < len(c)
+    for step in (1, -1):
+        k = step
+        while (d := m * k * (k - 1) // 2 + a * k) < len(c):
+            terms.append((d, -1 if k % 2 else 1))
+            k += step
+    for i in range(1, len(c)) if divide else range(len(c) - 1, 0, -1):
+        t = sum([s * c[i - d] for d, s in terms if d <= i])
+        c[i] = c[i] - t if divide else c[i] + t
 
 
 def poch_expand(f, n):
     """Expansion of a single Pochhammer factor to order n."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return _expand_factors([f], n)
+    return product_expand(QProduct((f,)), n)
 
 
 def product_expand(p, n):
-    """Expansion of a QProduct to order n (empty product gives 1)."""
+    """Expansion of a QProduct to order n (empty product gives 1).
+
+    Normal form: (-x;q^m) = (x^2;q^2m)/(x;q^m); (q^m;q^m) = theta(m, 3m)
+    (Euler); (q^a;q^2a) = (q^a;q^a)/(q^2a;q^2a); a pair (q^a, q^(m-a); q^m)
+    gives its common power of theta(a, m)/(q^m;q^m).  A product in q^g
+    expands in q.
+    """
     if n < 1:
         raise ValueError("order must be >= 1")
-    return _expand_factors(p.factors, n)
+    g = gcd(*(x for f in p.factors for x in (f.offset, f.modulus))) or 1
+    plus = Counter()  # (a, m) -> net power of (q^a;q^m)
+    for f in p.factors:
+        a, m = f.offset // g, f.modulus // g
+        if f.sign < 0:
+            plus[2 * a, 2 * m] += f.power
+        plus[a, m] += f.sign * f.power
+    theta, dense = Counter(), []  # theta: (a, m) -> power of theta(a, m)
+    for a, m in sorted(plus):
+        e = plus[a, m]
+        if m in (a, 2 * a):  # (q^a;q^a), or (q^a;q^2a) = (q^a;q^a)/(q^2a;q^2a)
+            theta[a, 3 * a] += e
+            theta[m, 3 * m] -= e if m > a else 0
+            continue
+        pair = plus[m - a, m] if 2 * a < m else 0
+        common = min(e, pair, key=abs) if e * pair > 0 else 0
+        theta[a, m] += common
+        theta[m, 3 * m] -= common
+        plus[m - a, m] -= common
+        if e != common:
+            dense.append((a, m, e - common))
+    c = [1] + [0] * (-(-n // g) - 1)
+    for a, m, e in dense:
+        for d in range(a, len(c), m):
+            _apply_factor(c, d, 1, e, len(c))
+    # multiplying first keeps the intermediate coefficients small
+    for (a, m), e in sorted(theta.items(), key=lambda item: -item[1]):
+        for _ in range(abs(e)):
+            _theta_pass(c, a, m, e < 0)
+    return Series(0, c, len(c)).substitute_power(g).truncate(n)
 
 
 # ---------------------------------------------------------------------------
 # Rogers-Ramanujan functions and friends
 # ---------------------------------------------------------------------------
-
-G_PRODUCT = QProduct((PochFactor(1, 1, 5, -1), PochFactor(1, 4, 5, -1)))
-H_PRODUCT = QProduct((PochFactor(1, 2, 5, -1), PochFactor(1, 3, 5, -1)))
-R_PRODUCT = QProduct(
-    (
-        PochFactor(1, 1, 5, 1),
-        PochFactor(1, 4, 5, 1),
-        PochFactor(1, 2, 5, -1),
-        PochFactor(1, 3, 5, -1),
-    )
-)
-
-
-def G_product(n):
-    return product_expand(G_PRODUCT, n)
-
-
-def H_product(n):
-    return product_expand(H_PRODUCT, n)
-
 
 def _rr_sum(n, step_bump):
     # terms t_k = q^(k^2 + bump*k) / (q;q)_k, built incrementally:
@@ -185,15 +198,6 @@ def H_sum(n):
     return _rr_sum(n, 1)
 
 
-def R(n):
-    """The Rogers-Ramanujan continued fraction H/G as a product expansion."""
-    return product_expand(R_PRODUCT, n)
-
-
-def R_inv(n):
-    return product_expand(R_PRODUCT.inverse(), n)
-
-
 def phi(sign, n):
     """Theta series phi(sign*q) = sum over all integers of (sign*q)^(k^2)."""
     if sign not in (1, -1):
@@ -215,10 +219,3 @@ def psi(n):
         c[k * (k + 1) // 2] = 1
         k += 1
     return Series(0, c, n)
-
-
-def ramanujan_k(n):
-    """q * R(q) * R(q^2)^2, the parameter tying the modular equations together."""
-    r = R(n)
-    r2 = R((n + 1) // 2).substitute_power(2)
-    return r.mul(r2.mul(r2)).shift(1).truncate(n)

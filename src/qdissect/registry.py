@@ -98,6 +98,15 @@ def load_registry(path=None):
             data = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise RegistryError(f"cannot read registry {source}: {exc}") from None
+    shape = {"identities": list, "dissections": dict, "pipelines": dict}
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), t) for k, t in shape.items()):
+        raise RegistryError(f"registry {source}: top level needs a list 'identities' "
+                            "and objects 'dissections' and 'pipelines'")
+    for i, r in enumerate(data["identities"]):
+        if not (isinstance(r, dict) and all(isinstance(r.get(k), str) for k in ("id", "lhs", "rhs"))
+                and type(r.get("order")) is int and r["order"] >= 1):
+            raise RegistryError(f"registry {source}: identity {i} needs string "
+                                "id, lhs and rhs and an integer order >= 1")
     records = [
         IdentityRecord(r["id"], r["lhs"], r["rhs"], r["order"], r.get("note", ""))
         for r in data["identities"]

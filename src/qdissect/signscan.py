@@ -11,7 +11,8 @@ exceptional zeros in total: alpha(4), beta(5), delta(2).
 import csv
 from dataclasses import dataclass, field
 
-from . import products
+from .exprlang import Evaluator
+from .registry import load_registry
 
 SERIES_NAMES = ("alpha", "beta", "gamma", "delta")
 
@@ -60,16 +61,8 @@ DEFAULT_RULES = {
 
 
 def series_for(name, n):
-    """Expansion of the named sequence to order n."""
-    if name == "alpha" or name == "gamma":
-        r = products.R(n)
-    else:
-        r = products.R_inv(n)
-    if name in ("alpha", "beta"):
-        other = (products.R if name == "alpha" else products.R_inv)((n + 1) // 2)
-        return r.mul(other.substitute_power(2).pow(2)).truncate(n)
-    other = (products.R_inv if name == "gamma" else products.R)((n + 1) // 2)
-    return r.pow(2).mul(other.substitute_power(2)).truncate(n)
+    """Expansion to order n of the named series' registry source text."""
+    return Evaluator().eval(load_registry().dissection(name).source, n)
 
 
 @dataclass(frozen=True)
@@ -128,31 +121,19 @@ def scan(name, rule=None, n=1000, series=None):
         want = rule.expected(i)
         if c == 0:
             zeros.append(i)
-        if want == "zero":
-            ok = c == 0
-        elif want == "positive":
-            ok = c > 0
-        else:
-            ok = c < 0
-        if not ok:
+        if want != ("zero" if c == 0 else "positive" if c > 0 else "negative"):
             violations.append(Violation(i, c, i % rule.modulus, want))
     return ScanReport(name, n, rule, tuple(violations), tuple(zeros))
 
 
 def scan_rows(report, series):
-    """(n, coefficient, residue, verdict) rows for CSV output."""
-    rows = []
-    for i in range(report.order):
-        c = series.coefficient(i)
-        want = report.rule.expected(i)
-        if want == "zero":
-            ok = c == 0
-        elif want == "positive":
-            ok = c > 0
-        else:
-            ok = c < 0
-        rows.append((i, c, i % report.rule.modulus, "ok" if ok else "violation"))
-    return rows
+    """(n, coefficient, residue, verdict) rows of the series the report scanned."""
+    bad = {v.n for v in report.violations}
+    return [
+        (i, series.coefficient(i), i % report.rule.modulus,
+         "violation" if i in bad else "ok")
+        for i in range(report.order)
+    ]
 
 
 def write_csv(fh, report, series):

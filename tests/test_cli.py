@@ -132,6 +132,38 @@ def test_unreadable_registry_is_one_line_error(tmp_path, capsys, content):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "registry",
+    [
+        {"identities": [{"id": "x", "lhs": "q", "rhs": "q"}], "dissections": {},
+         "pipelines": {}},
+        {"identities": [], "pipelines": {}},
+        [],
+    ],
+    ids=["record-without-order", "no-dissections", "top-level-list"],
+)
+def test_registry_schema_errors_are_one_line(tmp_path, capsys, registry):
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(registry))
+    code, out, err = run(capsys, "verify", "--all", "--registry", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: RegistryError: registry ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "expr", ["(" * 3000 + "q" + ")" * 3000, "+".join(["q"] * 3000)],
+    ids=["nested-brackets", "flat-sum"],
+)
+def test_deep_expressions_are_one_line_errors(capsys, expr):
+    code, out, err = run(capsys, "expand", expr, "--order", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ParseError: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_order_validation(capsys):
     code, _, err = run(capsys, "expand", "q", "--order", "0")
     assert code == 2

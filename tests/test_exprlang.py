@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from qdissect import products
 from qdissect.errors import NonUnitLeadingCoefficient, ParseError
 from qdissect.exprlang import (
-    JP, Add, Div, Evaluator, Func, IntLit, Mul, Neg, Pow, QVar, Sub, Subst,
-    evaluate, parse, to_text,
+    JP, MAX_DEPTH, Add, Div, Evaluator, Func, IntLit, Mul, Neg, Pow, QVar, Sub,
+    Subst, evaluate, parse, to_text,
 )
 
 
@@ -58,6 +58,26 @@ def test_parse_errors_carry_offsets():
         parse("JP(q^0;;q^5)")
     with pytest.raises(ParseError):
         parse("2 @ 3")
+
+
+def test_depth_limit_is_exact():
+    n = MAX_DEPTH
+    assert parse("(" * n + "q" + ")" * n) == QVar()
+    with pytest.raises(ParseError) as exc:
+        parse("(" * (n + 1) + "q" + ")" * (n + 1))
+    assert exc.value.pos == n  # the first bracket past the limit
+
+    # a chain of n terms is a tree of depth n
+    assert isinstance(parse("+".join(["q"] * n)), Add)
+    with pytest.raises(ParseError) as exc:
+        parse("+".join(["q"] * (n + 1)))
+    assert exc.value.pos == 2 * n - 1  # the operator that would go deeper
+
+    # depth adds up across brackets and chains
+    with pytest.raises(ParseError):
+        parse("(" * 30 + "q" + "+q+q+q+q)" * 30)
+    with pytest.raises(ParseError):
+        parse("G(" + "subst(" * (n + 1) + "q" + ",2)" * (n + 1) + ")")
 
 
 def test_trailing_input_rejected():
@@ -134,21 +154,23 @@ def test_eval_examples():
     assert ev.eval("1", 10).coefficients(0, 10) == [1] + [0] * 9
 
     r = ev.eval("H(q)/G(q)", 10)
-    assert r == products.R(10)
+    assert r == ev.eval("Hsum(q)/Gsum(q)", 10)
+    assert r == ev.eval("R(q)", 10)
 
-    k = ev.eval("q*R(q)*R(subst(q,2))^2", 10)
-    assert k == products.ramanujan_k(10)
+    k = ev.eval("k", 10)
+    assert k == ev.eval("q*Hsum(q)*Hsum(q^2)^2/(Gsum(q)*Gsum(q^2)^2)", 10)
+    assert ev.eval("q*R(q)*R(subst(q,2))^2", 10) == k
 
     assert ev.eval("Gsum(q)", 50) == products.G_sum(50)
     assert ev.eval("phi(-q)", 20) == products.phi(-1, 20)
-    assert ev.eval("Rinv(q)", 20) == products.R_inv(20)
+    assert ev.eval("Rinv(q)", 20) == ev.eval("Gsum(q)/Hsum(q)", 20)
     assert ev.eval("Rinv(q)*R(q)", 20).coefficients(0, 3) == [1, 0, 0]
 
 
 def test_eval_jp_routes_and_inverse():
     ev = Evaluator()
     n = 80
-    assert ev.eval("JP(;q,q^4;q^5)", n) == products.G_product(n)
+    assert ev.eval("JP(;q,q^4;q^5)", n) == products.G_sum(n)
     assert ev.eval("1/JP(q,q^4;q^5,q^20;q^25)^2", n) == ev.eval(
         "JP(q^5,q^20;q,q^4;q^25)^2", n
     )

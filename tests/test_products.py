@@ -3,7 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdissect import products
-from qdissect.products import PochFactor, QProduct
+from qdissect.exprlang import evaluate
+from qdissect.products import PochFactor, QProduct, _apply_factor
+from qdissect.series import Series
+
+G_FACTORS = QProduct((PochFactor(1, 1, 5, -1), PochFactor(1, 4, 5, -1)))
+H_FACTORS = QProduct((PochFactor(1, 2, 5, -1), PochFactor(1, 3, 5, -1)))
 
 
 def brute_poch(sign, j, m, n):
@@ -17,6 +22,16 @@ def brute_poch(sign, j, m, n):
             nxt[i] -= sign * c[i - d]
         c = nxt
         d += m
+    return c
+
+
+def dense_expand(p, n):
+    """Oracle: the raw dense route, one _apply_factor pass per linear factor."""
+    c = [0] * n
+    c[0] = 1
+    for f in p.factors:
+        for d in range(f.offset, n, f.modulus):
+            _apply_factor(c, d, f.sign, f.power, n)
     return c
 
 
@@ -94,24 +109,29 @@ def test_g_and_h_coefficients_match_partition_oracle():
     n = 60
     g_parts = [p for p in range(1, n) if p % 5 in (1, 4)]
     h_parts = [p for p in range(1, n) if p % 5 in (2, 3)]
-    assert products.G_product(n).coefficients(0, n) == partition_dp(g_parts, n)
-    assert products.H_product(n).coefficients(0, n) == partition_dp(h_parts, n)
-    assert products.G_product(7).coefficients(0, 7) == [1, 1, 1, 1, 2, 2, 3]
-    assert products.H_product(7).coefficients(0, 7) == [1, 0, 1, 1, 1, 1, 2]
+    g = products.product_expand(G_FACTORS, n)
+    h = products.product_expand(H_FACTORS, n)
+    assert g.coefficients(0, n) == partition_dp(g_parts, n)
+    assert h.coefficients(0, n) == partition_dp(h_parts, n)
+    assert evaluate("G(q)", n) == g and evaluate("H(q)", n) == h
+    assert evaluate("G(q)", 7).coefficients(0, 7) == [1, 1, 1, 1, 2, 2, 3]
+    assert evaluate("H(q)", 7).coefficients(0, 7) == [1, 0, 1, 1, 1, 1, 2]
 
 
 def test_sum_sides_equal_product_sides():
     n = 300
-    assert products.G_sum(n) == products.G_product(n)
-    assert products.H_sum(n) == products.H_product(n)
+    assert products.G_sum(n) == products.product_expand(G_FACTORS, n)
+    assert products.H_sum(n) == products.product_expand(H_FACTORS, n)
+    assert products.G_sum(n) == evaluate("G(q)", n)
+    assert products.H_sum(n) == evaluate("H(q)", n)
 
 
 def test_r_equals_division_oracle():
     n = 200
-    r = products.R(n)
-    assert r == products.H_product(n).mul(products.G_product(n).invert()).truncate(n)
+    r = evaluate("R(q)", n)
+    assert r == products.H_sum(n).mul(products.G_sum(n).invert()).truncate(n)
     assert r.coefficients(0, 6) == [1, -1, 1, 0, -1, 1]
-    assert products.R_inv(n).mul(r).truncate(n) == products.R(n).pow(0)
+    assert evaluate("Rinv(q)", n).mul(r).truncate(n) == Series.one(n)
 
 
 def test_phi_psi():
@@ -134,10 +154,39 @@ def test_phi_psi_product_forms():
 
 
 def test_ramanujan_k_shape():
-    k = products.ramanujan_k(8)
+    k = evaluate("k", 8)
     assert k.val == 1
     assert k.leading_coefficient() == 1
     assert k.coefficients(0, 8) == [0, 1, -1, -1, 2, 0, -2, 2]
+
+
+@st.composite
+def qproducts(draw):
+    """Random products: both signs; offsets below, equal to, half of and
+    above the modulus; powers -9..9 (|e| > 8 takes the binomial branch of
+    the dense passes); some factors with a partner (q^(m-a); q^m)."""
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(st.integers(1, 12))
+        a = draw(st.one_of(
+            st.integers(1, m), st.just(m), st.just(max(m // 2, 1)),
+            st.integers(m + 1, 3 * m),
+        ))
+        e = draw(st.integers(-9, 9))
+        factors.append(PochFactor(draw(st.sampled_from([1, -1])), a, m, e))
+        if a < m and draw(st.booleans()):
+            e2 = draw(st.one_of(st.just(e), st.integers(-9, 9)))
+            factors.append(PochFactor(draw(st.sampled_from([1, -1])), m - a, m, e2))
+    return QProduct(factors)
+
+
+@given(qproducts(), st.integers(1, 200))
+@settings(max_examples=150, deadline=None)
+def test_product_expand_matches_dense_passes(p, n):
+    s = products.product_expand(p, n)
+    assert s.order == n
+    assert s.coefficients(0, n) == dense_expand(p, n)
+    assert all(type(c) is int for c in s.coeffs)
 
 
 def test_all_multiple_of_five_offsets_stay_in_residue_zero():

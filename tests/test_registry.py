@@ -178,7 +178,7 @@ def test_duplicate_ids_rejected(tmp_path):
 
 
 def test_every_registry_product_is_a_unit_at_valuation_zero(reg):
-    from qdissect.exprlang import JP, Evaluator, _jp_product, to_text
+    from qdissect.exprlang import JP, Evaluator, _as_product, to_text
     from qdissect import products as prod_mod
 
     def walk(node):
@@ -196,5 +196,5 @@ def test_every_registry_product_is_a_unit_at_valuation_zero(reg):
                 seen[to_text(node)] = node
     assert len(seen) >= 30
     for node in seen.values():
-        s = prod_mod.product_expand(_jp_product(node), 50)
+        s = prod_mod.product_expand(_as_product(node), 50)
         assert s.val == 0 and s.leading_coefficient() == 1

@@ -2,6 +2,7 @@ import pytest
 
 from qdissect import products, signscan
 from qdissect.dissection import dissect
+from qdissect.prodmake import expand_exponents
 from qdissect.signscan import DEFAULT_RULES, SignRule, scan, scan_rows, series_for
 
 
@@ -18,8 +19,8 @@ def test_rule_validation():
 
 def test_series_for_matches_definitions():
     n = 120
-    r = products.R(n)
-    r2 = products.R(n).substitute_power(2).truncate(n)
+    r = products.H_sum(n).mul(products.G_sum(n).invert()).truncate(n)
+    r2 = r.substitute_power(2).truncate(n)
     alpha = r.mul(r2.pow(2)).truncate(n)
     assert series_for("alpha", n) == alpha
     beta = series_for("beta", n)
@@ -30,17 +31,30 @@ def test_series_for_matches_definitions():
 
 
 def test_alpha_above_64_bits_matches_one_dense_product():
-    # series_for multiplies expansions by convolution; the combined product
-    # R(q)*R(q^2)^2 expands by dense Pochhammer passes with no convolution
+    # series_for expands R(q) and R(q^2)^2 by sparse theta passes and
+    # multiplies them by convolution; the reference re-expands the exponents
+    # of R(q)*R(q^2)^2 by dense Pochhammer passes, with no convolution
     n = 2000
-    r_q2_squared = products.QProduct(
-        products.PochFactor(f.sign, 2 * f.offset, 2 * f.modulus, 2 * f.power)
-        for f in products.R_PRODUCT.factors
-    )
-    dense = products.product_expand(products.R_PRODUCT.combine(r_q2_squared), n)
+    exponents = {}
+    for offset, modulus, power in (
+        (1, 5, 1), (4, 5, 1), (2, 5, -1), (3, 5, -1),
+        (2, 10, 2), (8, 10, 2), (4, 10, -2), (6, 10, -2),
+    ):
+        for d in range(offset, n, modulus):
+            exponents[d] = exponents.get(d, 0) + power
+    dense = expand_exponents(exponents, n)
     alpha = series_for("alpha", n)
     assert max(map(abs, alpha.coeffs)).bit_length() > 64
     assert alpha == dense
+
+
+@pytest.mark.slow
+def test_sign_patterns_to_ten_thousand():
+    n = 10_000
+    reports = {name: scan(name, n=n) for name in signscan.SERIES_NAMES}
+    assert all(r.passed for r in reports.values()), {k: r.violations[:3] for k, r in reports.items()}
+    zeros = {name: r.zeros for name, r in reports.items()}
+    assert zeros == {"alpha": (4,), "beta": (5,), "gamma": (), "delta": (2,)}
 
 
 def test_first_values():
