@@ -7,10 +7,15 @@ logarithmic derivative: with t = -q f'/f one has t_m = sum_{d|m} d*a_d, so
     a_n = (t_n - sum_{d|n, d<n} d*a_d) / n
 
 and the division must be exact over the integers; a remainder proves there
-is no such product form.
+is no such product form.  A series F(q^g), with g the gcd of its exponents
+(a multiple of 5 for every 5-dissection slice), is recovered from F at order
+ceil(n/g): t and the divisor sums both scale by g, so a_(gk) = b_k and every
+other a_n is 0, the inverse of ``products.product_expand``'s rule that a
+product in q^g expands in q.
 """
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional
 
 from .errors import NonIntegralExponent, NotUnit, OrderExceeded
@@ -94,22 +99,25 @@ def prodmake(f, n):
     if f.order < n:
         raise OrderExceeded(f"need coefficients below {n}, trusted below {f.order}")
     f = f.truncate(n)
+    g = gcd(*(i for i, c in enumerate(f.coeffs) if c)) or 1
+    m = -(-n // g)
+    f = Series(0, f.coeffs[::g], m)  # the input is exactly f(q^g)
     t = f.q_derivative().negate().mul(f.invert())
     exponents = {}
-    divsum = [0] * n
-    for k in range(1, n):
+    divsum = [0] * m
+    for k in range(1, m):
         num = t.coefficient(k) - divsum[k]
         a, r = divmod(num, k)
         if r:
-            raise NonIntegralExponent(k)
+            raise NonIntegralExponent(g * k)
         if a:
             exponents[k] = a
-            for mult in range(2 * k, n, k):
+            for mult in range(2 * k, m, k):
                 divsum[mult] += k * a
     # soundness: the recovered product must reproduce the input exactly
-    if expand_exponents(exponents, n) != f:
+    if expand_exponents(exponents, m) != f:
         raise AssertionError("product re-expansion does not match input")
-    return EtaExponents(exponents, n)
+    return EtaExponents({g * k: a for k, a in exponents.items()}, n)
 
 
 def detect_period(e, m):

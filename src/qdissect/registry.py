@@ -64,8 +64,6 @@ class Registry:
     def __init__(self, records, dissections, pipelines):
         self.records = tuple(records)
         self.by_id = {r.id: r for r in self.records}
-        if len(self.by_id) != len(self.records):
-            raise ValueError("duplicate identity ids in registry data")
         self.dissections = dissections
         self._pipelines = pipelines
 
@@ -88,6 +86,11 @@ class Registry:
             raise KeyError(f"no dissection target named {target!r}") from None
 
 
+def _typed(obj, kind, *keys):
+    """Whether obj is a JSON object whose keys all hold values of exactly kind."""
+    return isinstance(obj, dict) and all(type(obj.get(k)) is kind for k in keys)
+
+
 def load_registry(path=None):
     if path is None:
         source = resources.files("qdissect.data").joinpath("identities.json")
@@ -98,15 +101,37 @@ def load_registry(path=None):
             data = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise RegistryError(f"cannot read registry {source}: {exc}") from None
+
+    def fail(what):
+        return RegistryError(f"registry {source}: {what}")
+
     shape = {"identities": list, "dissections": dict, "pipelines": dict}
     if not isinstance(data, dict) or not all(isinstance(data.get(k), t) for k, t in shape.items()):
-        raise RegistryError(f"registry {source}: top level needs a list 'identities' "
-                            "and objects 'dissections' and 'pipelines'")
+        raise fail("top level needs a list 'identities' and objects 'dissections' and 'pipelines'")
+    ids = set()
     for i, r in enumerate(data["identities"]):
-        if not (isinstance(r, dict) and all(isinstance(r.get(k), str) for k in ("id", "lhs", "rhs"))
-                and type(r.get("order")) is int and r["order"] >= 1):
-            raise RegistryError(f"registry {source}: identity {i} needs string "
-                                "id, lhs and rhs and an integer order >= 1")
+        if not (_typed(r, str, "id", "lhs", "rhs") and _typed(r, int, "order") and r["order"] >= 1):
+            raise fail(f"identity {i} needs string id, lhs and rhs and an integer order >= 1")
+        if r["id"] in ids:
+            raise fail(f"identity id {r['id']!r} is listed twice")
+        ids.add(r["id"])
+    for tgt, d in data["dissections"].items():
+        if not (_typed(d, str, "source", "record") and _typed(d, int, "modulus", "period")
+                and min(d["modulus"], d["period"]) >= 1 and isinstance(d.get("terms"), list)
+                and all(_typed(t, int, "scale", "shift") and _typed(t, str, "jp")
+                        for t in d["terms"])):
+            raise fail(f"dissection {tgt!r} needs string source and record, integer modulus "
+                       "and period >= 1 and a list terms of objects with integer scale and "
+                       "shift and string jp")
+        if d["record"] not in ids:
+            raise fail(f"dissection {tgt!r} names unknown identity {d['record']!r}")
+    for tgt, p in data["pipelines"].items():
+        if not (isinstance(p, dict) and isinstance(p.get("steps"), list) and p["steps"]
+                and all(isinstance(sid, str) for sid in p["steps"])):
+            raise fail(f"pipeline {tgt!r} needs a nonempty list of string steps")
+        unknown = [sid for sid in p["steps"] if sid not in ids]
+        if unknown:
+            raise fail(f"pipeline {tgt!r} names unknown identity {unknown[0]!r}")
     records = [
         IdentityRecord(r["id"], r["lhs"], r["rhs"], r["order"], r.get("note", ""))
         for r in data["identities"]

@@ -132,6 +132,15 @@ def test_unreadable_registry_is_one_line_error(tmp_path, capsys, content):
     assert len(err.splitlines()) == 1
 
 
+REC = {"id": "x", "lhs": "q", "rhs": "q", "order": 10}
+DIS = {"source": "R(q)", "record": "x", "modulus": 5, "period": 50,
+       "terms": [{"scale": 1, "shift": 0, "jp": "JP(;q;q)"}]}
+
+
+def with_dissection(**fields):
+    return {"identities": [REC], "dissections": {"alpha": {**DIS, **fields}}, "pipelines": {}}
+
+
 @pytest.mark.parametrize(
     "registry",
     [
@@ -139,8 +148,22 @@ def test_unreadable_registry_is_one_line_error(tmp_path, capsys, content):
          "pipelines": {}},
         {"identities": [], "pipelines": {}},
         [],
+        {"identities": [REC, REC], "dissections": {}, "pipelines": {}},
+        {"identities": [REC], "dissections": {"alpha": {}}, "pipelines": {}},
+        with_dissection(modulus=0),
+        with_dissection(period="50"),
+        with_dissection(terms={}),
+        with_dissection(terms=[{"scale": 1, "shift": 0.5, "jp": "JP(;q;q)"}]),
+        with_dissection(terms=[{"scale": 1, "shift": 0}]),
+        with_dissection(record="nope"),
+        {"identities": [REC], "dissections": {}, "pipelines": {"alpha": {"aux": None}}},
+        {"identities": [REC], "dissections": {},
+         "pipelines": {"alpha": {"steps": ["x", "nope"], "aux": None}}},
     ],
-    ids=["record-without-order", "no-dissections", "top-level-list"],
+    ids=["record-without-order", "no-dissections", "top-level-list", "duplicate-ids",
+         "empty-dissection", "modulus-zero", "period-string", "terms-not-list",
+         "term-float-shift", "term-without-jp", "unknown-dissection-record",
+         "pipeline-without-steps", "unknown-pipeline-step"],
 )
 def test_registry_schema_errors_are_one_line(tmp_path, capsys, registry):
     path = tmp_path / "registry.json"

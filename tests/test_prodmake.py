@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdissect import products
@@ -55,6 +55,32 @@ def test_soundness_reexpansion(p):
     f = products.product_expand(p, n)
     e = prodmake(f, n)
     assert expand_exponents(e.exponents, n) == f
+
+
+@given(
+    st.integers(2, 7),
+    st.dictionaries(st.integers(1, 60), st.integers(-3, 3).filter(bool), max_size=8),
+    st.integers(1, 300),
+)
+@example(3, {2: 1, 3: -1}, 10)  # first term at q^(2g); q^9 lies past order floor(10/3)
+@settings(max_examples=150, deadline=None)
+def test_series_in_q_to_the_g_matches_its_compression(g, support, n):
+    # f = prod (1-q^(g k))^(a_k) is F(q^g); prodmake of f must give back the
+    # drawn exponents and agree with prodmake of F at order ceil(n/g)
+    expected = {g * k: a for k, a in support.items() if g * k < n}
+    f = expand_exponents(expected, n)
+    assert prodmake(f, n).exponents == expected
+    m = -(-n // g)
+    compressed = prodmake(Series(0, f.coeffs[::g], m), m).exponents
+    assert {g * k: a for k, a in compressed.items()} == expected
+
+
+def test_partial_gcd_support_and_constant_are_not_compressed():
+    # 2 divides only some of the support: the series is not one in q^2
+    f = expand_exponents({2: 1, 3: -1, 6: 2}, 50)
+    assert prodmake(f, 50).exponents == {2: 1, 3: -1, 6: 2}
+    for n in (1, 2, 7):
+        assert prodmake(Series.one(n), n).exponents == {}
 
 
 def test_idempotence_on_plus_sign_products():

@@ -1,5 +1,6 @@
 import pytest
 
+from qdissect.errors import RegistryError
 from qdissect.exprlang import Evaluator, parse
 from qdissect.registry import (
     IdentityRecord, load_registry, verify, verify_all, verify_by_id,
@@ -173,7 +174,7 @@ def test_duplicate_ids_rejected(tmp_path):
     path.write_text(json.dumps(
         {"identities": [rec, rec], "dissections": {}, "pipelines": {}}
     ))
-    with pytest.raises(ValueError):
+    with pytest.raises(RegistryError, match="'dup' is listed twice"):
         load_registry(str(path))
 
 
