@@ -25,17 +25,6 @@ class NotUnit(QSeriesError):
     """Product recovery needs valuation 0 and leading coefficient +1."""
 
 
-class NonIntegralExponent(QSeriesError):
-    """The input has no (1-q^n)^a product form with integer exponents.
-
-    Carries the first index n where the defining recurrence fails to divide.
-    """
-
-    def __init__(self, n, message=None):
-        self.n = n
-        super().__init__(message or f"no integral product exponent at n={n}")
-
-
 class RegistryError(QSeriesError):
     """The registry file cannot be read, is not JSON, or breaks the schema."""
 

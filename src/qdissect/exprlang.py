@@ -36,65 +36,67 @@ MAX_DEPTH = 100
 
 # -- AST -------------------------------------------------------------------
 
+# Nodes are frozen, so they hash and compare by value, and slotted: the
+# evaluator cache keys on them and keeps every parsed tree alive with it.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QVar:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Func:
     name: str
     sign: int = 1  # only phi distinguishes phi(q) from phi(-q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Div:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     operand: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow:
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subst:
     operand: object
     power: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JP:
     numerator: tuple  # of (sign, offset)
     denominator: tuple
@@ -390,9 +392,20 @@ _FUNC_EVAL = {"Gsum": products.G_sum, "Hsum": products.H_sum, "psi": products.ps
 
 
 def _as_product(e):
-    """QProduct of a JP node, G, H, R, Rinv, or a Subst or Pow of one; else None."""
+    """QProduct of a JP node, G, H, R, Rinv or the constant 1, or of a Subst,
+    Pow, Mul or Div of such products; else None."""
     if isinstance(e, Func) and e.name in _ABBREVIATIONS:
         e = _ABBREVIATIONS[e.name]
+    if isinstance(e, IntLit) and e.value == 1:
+        return QProduct(())
+    if isinstance(e, (Mul, Div)):
+        left = _as_product(e.left)
+        right = None if left is None else _as_product(e.right)
+        if right is None:
+            return None
+        if isinstance(e, Div):
+            right = right.transform(scale=-1)
+        return QProduct(left.factors + right.factors)
     if isinstance(e, JP):
         return QProduct([PochFactor(s, j, e.base, 1) for s, j in e.numerator]
                         + [PochFactor(s, j, e.base, -1) for s, j in e.denominator])
@@ -406,7 +419,11 @@ def _as_product(e):
 
 
 class Evaluator:
-    """Evaluates ASTs to Series, caching shared subexpressions by text."""
+    """Evaluates ASTs to Series, caching shared subexpressions by node.
+
+    Nodes are frozen and compare by value, and parse(to_text(e)) == e, so
+    equal subexpressions of different source texts share one entry.
+    """
 
     def __init__(self):
         self._cache = {}
@@ -429,7 +446,7 @@ class Evaluator:
             _slack = 2 * _slack + (order - s.order)
 
     def _eval(self, e, m):
-        key = (to_text(e), m)
+        key = (e, m)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -438,11 +455,11 @@ class Evaluator:
         return s
 
     def _eval_uncached(self, e, m):
+        if isinstance(e, IntLit):
+            return Series(0, [e.value], m)
         p = _as_product(e)
         if p is not None:
             return products.product_expand(p, m)
-        if isinstance(e, IntLit):
-            return Series(0, [e.value], m)
         if isinstance(e, QVar):
             return Series.monomial(1, 1, m)
         if isinstance(e, Func):

@@ -6,19 +6,20 @@ logarithmic derivative: with t = -q f'/f one has t_m = sum_{d|m} d*a_d, so
 
     a_n = (t_n - sum_{d|n, d<n} d*a_d) / n
 
-and the division must be exact over the integers; a remainder proves there
-is no such product form.  A series F(q^g), with g the gcd of its exponents
-(a multiple of 5 for every 5-dissection slice), is recovered from F at order
-ceil(n/g): t and the divisor sums both scale by g, so a_(gk) = b_k and every
-other a_n is 0, the inverse of ``products.product_expand``'s rule that a
-product in q^g expands in q.
+and the division is exact: every integer series 1 + O(q) has integer
+exponents (divide out (1-q^k)^(-c_k) for its first nonzero c_k, k = 1, 2,
+...).  A series F(q^g), with g the gcd of its exponents (a multiple of 5
+for every 5-dissection slice), is recovered from F at order ceil(n/g): t
+and the divisor sums both scale by g, so a_(gk) = b_k and every other a_n
+is 0, the inverse of ``products.product_expand``'s rule that a product in
+q^g expands in q.
 """
 
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .errors import NonIntegralExponent, NotUnit, OrderExceeded
+from .errors import NotUnit, OrderExceeded
 from .series import Series
 from .products import _apply_factor
 
@@ -106,10 +107,7 @@ def prodmake(f, n):
     exponents = {}
     divsum = [0] * m
     for k in range(1, m):
-        num = t.coefficient(k) - divsum[k]
-        a, r = divmod(num, k)
-        if r:
-            raise NonIntegralExponent(g * k)
+        a = (t.coefficient(k) - divsum[k]) // k
         if a:
             exponents[k] = a
             for mult in range(2 * k, m, k):

@@ -4,17 +4,26 @@ A ``QProduct`` is a finite list of factors (s*q^j; q^m)^e with s = +-1.
 ``product_expand`` rewrites it into Jacobi-triple-product theta series
 (Garvan 1999, "A q-product tutorial for a q-series MAPLE package";
 Hirschhorn 2017, "The Power of q"): each has O(sqrt(N/m)) terms below q^N,
-so multiplying or dividing by it is one O(N*sqrt(N/m)) pass.  Unpaired
-factors keep dense O(N^2/m) passes.  The sum sides (``G_sum``, ``H_sum``,
-``phi``, ``psi``) are independent of all this and act as oracles for it.
+so multiplying or dividing by it is one O(N*sqrt(N/m)) pass, made of
+list-slice updates (``_theta_pass``).  Unpaired factors keep dense
+O(N^2/m) passes.  The evaluator folds products and quotients of products
+into one ``QProduct`` (``exprlang._as_product``), so a series such as
+1/(R(q)*R(q^2)^2) is one expansion, with no convolution or Newton step.
+The sum sides (``G_sum``, ``H_sum``, ``phi``, ``psi``) are independent of
+all this and act as oracles for it.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd
+from operator import add, sub
 
 from . import _kernels
 from .series import Series
+
+# Block length of a dividing theta pass: terms with d at least this long
+# read only finished values and become one slice update per block.
+_THETA_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -104,16 +113,37 @@ def _apply_factor(c, d, s, e, n):
 def _theta_pass(c, a, m, divide):
     """Multiply (or divide: the unit-constant recurrence) c in place by
     theta(a, m) = sum_k (-1)^k q^(m*k*(k-1)/2 + a*k), 0 < a < m, which is
-    (q^a;q^m)(q^(m-a);q^m)(q^m;q^m) by the Jacobi triple product."""
-    terms = []  # (d, sign) for 0 < d < len(c)
+    (q^a;q^m)(q^(m-a);q^m)(q^m;q^m) by the Jacobi triple product.
+
+    Multiplying adds each term's shifted copy of the input as one slice
+    update.  Dividing runs over blocks of _THETA_BLOCK indices: a term with
+    d >= _THETA_BLOCK reads only finished values, so it is one slice update
+    per block, and the recurrence runs over the few shorter terms alone.
+    """
+    n = len(c)
+    terms = []  # (d, sign) for 0 < d < n, ascending
     for step in (1, -1):
         k = step
-        while (d := m * k * (k - 1) // 2 + a * k) < len(c):
+        while (d := m * k * (k - 1) // 2 + a * k) < n:
             terms.append((d, -1 if k % 2 else 1))
             k += step
-    for i in range(1, len(c)) if divide else range(len(c) - 1, 0, -1):
-        t = sum([s * c[i - d] for d, s in terms if d <= i])
-        c[i] = c[i] - t if divide else c[i] + t
+    terms.sort()
+    if not divide:
+        src = c[:]
+        for d, s in terms:
+            c[d:] = map(add if s > 0 else sub, c[d:], src)
+        return
+    near = [(d, s) for d, s in terms if d < _THETA_BLOCK]
+    far = [(d, sub if s > 0 else add) for d, s in terms if d >= _THETA_BLOCK]
+    for lo in range(0, n, _THETA_BLOCK):
+        hi = min(lo + _THETA_BLOCK, n)
+        for d, op in far:
+            if d >= hi:
+                break
+            start = max(lo, d)
+            c[start:hi] = map(op, c[start:hi], c[start - d:hi - d])
+        for i in range(lo, hi):
+            c[i] -= sum([s * c[i - d] for d, s in near if d <= i])
 
 
 def poch_expand(f, n):

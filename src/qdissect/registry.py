@@ -129,6 +129,10 @@ def load_registry(path=None):
         if not (isinstance(p, dict) and isinstance(p.get("steps"), list) and p["steps"]
                 and all(isinstance(sid, str) for sid in p["steps"])):
             raise fail(f"pipeline {tgt!r} needs a nonempty list of string steps")
+        if "aux" not in p or not (p["aux"] is None
+                                  or _typed(p["aux"], str, "factor1", "factor2", "numerator")):
+            raise fail(f"pipeline {tgt!r} needs an aux that is null or an object with "
+                       "string factor1, factor2 and numerator")
         unknown = [sid for sid in p["steps"] if sid not in ids]
         if unknown:
             raise fail(f"pipeline {tgt!r} names unknown identity {unknown[0]!r}")
@@ -212,7 +216,9 @@ def verify_proof_pipeline(registry, target, order=300, evaluator=None):
     """
     if target not in PIPELINE_TARGETS:
         raise KeyError(f"unknown pipeline target {target!r}")
-    plan = registry._pipelines[target]
+    plan = registry._pipelines.get(target)
+    if plan is None:
+        raise RegistryError(f"registry has no pipeline for target {target!r}")
     ev = evaluator or Evaluator()
     reports = []
     steps = list(plan["steps"])

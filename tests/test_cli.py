@@ -141,9 +141,12 @@ def with_dissection(**fields):
     return {"identities": [REC], "dissections": {"alpha": {**DIS, **fields}}, "pipelines": {}}
 
 
+PIPELINE_ALPHA = ("pipeline", "--target", "alpha")
+
+
 @pytest.mark.parametrize(
-    "registry",
-    [
+    "registry, command",
+    [(r, ("verify", "--all")) for r in [
         {"identities": [{"id": "x", "lhs": "q", "rhs": "q"}], "dissections": {},
          "pipelines": {}},
         {"identities": [], "pipelines": {}},
@@ -159,16 +162,20 @@ def with_dissection(**fields):
         {"identities": [REC], "dissections": {}, "pipelines": {"alpha": {"aux": None}}},
         {"identities": [REC], "dissections": {},
          "pipelines": {"alpha": {"steps": ["x", "nope"], "aux": None}}},
-    ],
+        {"identities": [REC], "dissections": {}, "pipelines": {"alpha": {"steps": ["x"]}}},
+        {"identities": [REC], "dissections": {},
+         "pipelines": {"alpha": {"steps": ["x"], "aux": {"factor1": "q", "factor2": "q"}}}},
+    ]] + [({"identities": [REC], "dissections": {}, "pipelines": {}}, PIPELINE_ALPHA)],
     ids=["record-without-order", "no-dissections", "top-level-list", "duplicate-ids",
          "empty-dissection", "modulus-zero", "period-string", "terms-not-list",
          "term-float-shift", "term-without-jp", "unknown-dissection-record",
-         "pipeline-without-steps", "unknown-pipeline-step"],
+         "pipeline-without-steps", "unknown-pipeline-step", "pipeline-without-aux",
+         "aux-without-numerator", "no-pipeline-for-target"],
 )
-def test_registry_schema_errors_are_one_line(tmp_path, capsys, registry):
+def test_registry_schema_errors_are_one_line(tmp_path, capsys, registry, command):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(registry))
-    code, out, err = run(capsys, "verify", "--all", "--registry", str(path))
+    code, out, err = run(capsys, *command, "--registry", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: RegistryError: registry ")

@@ -6,7 +6,7 @@ from qdissect import products
 from qdissect.errors import NonUnitLeadingCoefficient, ParseError
 from qdissect.exprlang import (
     JP, MAX_DEPTH, Add, Div, Evaluator, Func, IntLit, Mul, Neg, Pow, QVar, Sub,
-    Subst, evaluate, parse, to_text,
+    Subst, _as_product, _exact_div, evaluate, parse, to_text,
 )
 
 
@@ -229,3 +229,56 @@ def test_evaluator_cache_is_order_aware():
     high = ev.eval("G(q)*H(q) - JP(;q,q^2,q^3,q^4;q^5)", 120)
     assert low.is_zero() and high.is_zero()
     assert ev.eval("G(q)*H(q)", 120).truncate(30) == ev.eval("G(q)*H(q)", 30)
+
+
+def test_evaluator_cache_shares_equal_nodes():
+    # entries are keyed by node: a subexpression spelled differently in
+    # another text is the same node and adds no entry
+    ev = Evaluator()
+    ev.eval("(G(q) + q)*Gsum(q)^2 - subst(psi(q), 2)", 40)
+    size = len(ev._cache)
+    assert ev.eval("(G(q^1)+q) * (Gsum(q))^2", 40) == ev.eval("Gsum(q)^2*(q + G(q))", 40)
+    assert ev.eval("psi(q^2)", 40) == products.psi(20).substitute_power(2).truncate(40)
+    assert len(ev._cache) == size + 2  # only the swapped Mul and Add are new nodes
+
+
+# -- folding products of products -----------------------------------------------
+
+PRODUCT_LEAVES = [parse(t) for t in (
+    "1", "G(q)", "H(q^2)", "R(q)", "Rinv(q^3)", "R(q^2)^2", "JP(q,-q^2;q^3;q^4)",
+    "JP(-q;;q^2)^-1", "subst(JP(q^2;-q;q^5), 2)",
+)]
+
+
+def separately(e, n):
+    """Oracle: every product leaf expanded on its own, the leaves combined
+    by Series.mul and _exact_div."""
+    if isinstance(e, Mul):
+        return separately(e.left, n).mul(separately(e.right, n))
+    if isinstance(e, Div):
+        return _exact_div(separately(e.left, n), separately(e.right, n))
+    return products.product_expand(_as_product(e), n)
+
+
+@given(st.recursive(
+    st.sampled_from(PRODUCT_LEAVES),
+    lambda inner: st.builds(Mul, inner, inner) | st.builds(Div, inner, inner),
+    max_leaves=6,
+), st.integers(1, 150))
+@settings(max_examples=80, deadline=None)
+def test_folded_products_match_separate_leaves(e, n):
+    p = _as_product(e)
+    assert p is not None
+    assert products.product_expand(p, n) == separately(e, n)
+    assert Evaluator().eval(e, n) == separately(e, n)
+
+
+def test_fold_keeps_left_factors_then_negated_right():
+    g, h = parse("G(q)"), parse("H(q^2)^3")
+    pg, ph = _as_product(g), _as_product(h)
+    assert _as_product(Mul(g, h)).factors == pg.factors + ph.factors
+    assert _as_product(Div(g, h)).factors == pg.factors + ph.transform(scale=-1).factors
+    assert _as_product(parse("subst(G(q)/H(q), 2)^-2")) == (
+        _as_product(Div(Func("G"), Func("H"))).transform(subst=2, scale=-2))
+    for text in ("q*R(q)", "R(q)/(1+q)", "2*G(q)", "k"):
+        assert _as_product(parse(text)) is None

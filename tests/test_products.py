@@ -1,10 +1,12 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdissect import products
 from qdissect.exprlang import evaluate
-from qdissect.products import PochFactor, QProduct, _apply_factor
+from qdissect.products import _THETA_BLOCK, PochFactor, QProduct, _apply_factor, _theta_pass
 from qdissect.series import Series
 
 G_FACTORS = QProduct((PochFactor(1, 1, 5, -1), PochFactor(1, 4, 5, -1)))
@@ -215,3 +217,36 @@ def test_exponent_pattern():
     assert plus == {10: -1, 35: -1}
     with pytest.raises(ValueError):
         p.exponent_pattern(30)
+
+
+def theta_series(a, m, n):
+    """Oracle: theta(a, m) = sum over all integers k of (-1)^k q^(m*k*(k-1)/2 + a*k)
+    as a literal coefficient list, every k with an exponent below n."""
+    c = [0] * n
+    for k in range(-n, n + 1):
+        d = m * k * (k - 1) // 2 + a * k
+        if d < n:
+            c[d] += -1 if k % 2 else 1
+    return Series(0, c, n)
+
+
+THETA_PARAMS = st.integers(2, 12).flatmap(lambda m: st.tuples(st.integers(1, m - 1), st.just(m)))
+
+
+@given(THETA_PARAMS, st.integers(1, 400), st.integers(0, 2**32), st.booleans())
+@example((2, 5), _THETA_BLOCK, 1, True)
+@example((4, 10), _THETA_BLOCK + 1, 2, True)
+@example((1, 2), 2 * _THETA_BLOCK + 1, 3, True)
+@example((9, 12), 3 * _THETA_BLOCK, 4, True)  # a term at d = 63 = _THETA_BLOCK - 1
+@settings(max_examples=120, deadline=None)
+def test_theta_pass_matches_series_mul_and_invert(am, n, seed, divide):
+    # mixed-sign coefficients of up to 130 bits; orders 1-400 cross the
+    # ends of several blocks of the dividing pass
+    a, m = am
+    rng = random.Random(seed)
+    c = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 130)) for _ in range(n)]
+    theta = theta_series(a, m, n)
+    f = Series(0, c, n)
+    want = f.mul(theta.invert() if divide else theta)
+    _theta_pass(c, a, m, divide)
+    assert Series(0, c, n) == want

@@ -1,8 +1,11 @@
 import pytest
 
-from qdissect import products, signscan
+from qdissect import _kernels, products, signscan
 from qdissect.dissection import dissect
+from qdissect.exprlang import Evaluator
 from qdissect.prodmake import expand_exponents
+from qdissect.registry import load_registry
+from qdissect.series import Series
 from qdissect.signscan import DEFAULT_RULES, SignRule, scan, scan_rows, series_for
 
 
@@ -31,9 +34,9 @@ def test_series_for_matches_definitions():
 
 
 def test_alpha_above_64_bits_matches_one_dense_product():
-    # series_for expands R(q) and R(q^2)^2 by sparse theta passes and
-    # multiplies them by convolution; the reference re-expands the exponents
-    # of R(q)*R(q^2)^2 by dense Pochhammer passes, with no convolution
+    # series_for folds R(q)*R(q^2)^2 into one product and expands it by
+    # sparse theta passes; the reference re-expands its exponents by dense
+    # Pochhammer passes
     n = 2000
     exponents = {}
     for offset, modulus, power in (
@@ -46,6 +49,26 @@ def test_alpha_above_64_bits_matches_one_dense_product():
     alpha = series_for("alpha", n)
     assert max(map(abs, alpha.coeffs)).bit_length() > 64
     assert alpha == dense
+
+
+def test_dissection_sources_need_no_inversion_or_convolution(monkeypatch):
+    # each source is a quotient of products, folded into one QProduct and
+    # expanded by theta passes alone
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Series, "invert", spy("invert", Series.invert))
+    monkeypatch.setattr(_kernels, "_kronecker", spy("kronecker", _kernels._kronecker))
+    sources = [d.source for d in load_registry().dissections.values()]
+    assert len(sources) == 4
+    for source in sources:
+        assert Evaluator().eval(source, 600).order == 600
+    assert calls == []
 
 
 @pytest.mark.slow
