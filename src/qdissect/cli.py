@@ -13,7 +13,7 @@ from . import dissection as dissection_mod
 from . import prodmake as prodmake_mod
 from . import registry as registry_mod
 from . import signscan
-from .errors import QSeriesError
+from .errors import QSeriesError, UsageError
 from .exprlang import Evaluator
 
 
@@ -111,14 +111,15 @@ def cmd_verify(args):
     if args.all:
         reports = registry_mod.verify_all(reg, order=args.order, evaluator=ev)
     elif args.id:
+        if args.id not in reg.by_id:
+            raise UsageError(f"no registry identity named {args.id!r}")
         reports = [registry_mod.verify_by_id(reg, args.id, order=args.order, evaluator=ev)]
     elif args.lhs and args.rhs:
         rec = registry_mod.IdentityRecord("adhoc", args.lhs, args.rhs,
                                           args.order or 100, "")
         reports = [registry_mod.verify(rec, evaluator=ev)]
     else:
-        print("verify needs --id, --all, or LHS RHS", file=sys.stderr)
-        return 2
+        raise UsageError("verify needs --id, --all, or LHS RHS")
     reports.sort(key=lambda r: r.id)
     _emit_reports(args, reports)
     return 0 if all(r.passed for r in reports) else 1
@@ -135,8 +136,11 @@ def cmd_signs(args):
     series = signscan.series_for(args.which, args.order)
     report = signscan.scan(args.which, n=args.order, series=series)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            signscan.write_csv(fh, report, series)
+        try:
+            with open(args.csv, "w", newline="") as fh:
+                signscan.write_csv(fh, report, series)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.csv}: {exc.strerror or exc}") from None
     lines = [
         f"{'pass' if report.passed else 'FAIL'}  {args.which}  n<{args.order}"
         f"  zeros={list(report.zeros)}"
@@ -224,14 +228,24 @@ def build_parser():
     return p
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
-    for name in ("order", "mod"):
+def _check_args(args):
+    """Reject, before any work, an argument out of range."""
+    for name in ("order", "mod", "period"):
         v = getattr(args, name, None)
         if v is not None and v < 1:
-            print(f"{name} must be >= 1", file=sys.stderr)
-            return 2
+            raise UsageError(f"{name} must be >= 1")
+    if args.command == "dissect":
+        # every slice past the order would be empty
+        if args.mod > args.order:
+            raise UsageError(f"mod {args.mod} exceeds order {args.order}")
+        if args.slice is not None and not 0 <= args.slice < args.mod:
+            raise UsageError(f"slice must be in 0..{args.mod - 1}")
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.fn(args)
     except QSeriesError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

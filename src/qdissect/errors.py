@@ -29,6 +29,11 @@ class RegistryError(QSeriesError):
     """The registry file cannot be read, is not JSON, or breaks the schema."""
 
 
+class UsageError(QSeriesError):
+    """A command-line argument is out of range, names nothing, or names a
+    file that cannot be written."""
+
+
 class ParseError(QSeriesError):
     """Syntax error in the expression language, with a byte offset."""
 

@@ -381,7 +381,7 @@ def to_text(e):
 
 # -- evaluator ----------------------------------------------------------------
 
-# Named series that abbreviate expression text; G, H, R, Rinv are products.
+# Named series that abbreviate expression text; every one is a term.
 _ABBREVIATIONS = {name: parse(text) for name, text in (
     ("G", "JP(;q,q^4;q^5)"), ("H", "JP(;q^2,q^3;q^5)"),
     ("R", "JP(q,q^4;q^2,q^3;q^5)"), ("Rinv", "JP(q^2,q^3;q,q^4;q^5)"),
@@ -391,30 +391,39 @@ _ABBREVIATIONS = {name: parse(text) for name, text in (
 _FUNC_EVAL = {"Gsum": products.G_sum, "Hsum": products.H_sum, "psi": products.psi}
 
 
-def _as_product(e):
-    """QProduct of a JP node, G, H, R, Rinv or the constant 1, or of a Subst,
-    Pow, Mul or Div of such products; else None."""
+def _as_term(e):
+    """(c, k, p) with e = c*q^k*p, c an integer and p a QProduct, for an
+    integer, q, JP, G, H, R, Rinv, k, or a Neg, Mul, Subst, Pow or Div of
+    such terms; else None.  A divisor, or a base to a negative power, folds
+    only when its constant is +-1, so c stays an integer."""
     if isinstance(e, Func) and e.name in _ABBREVIATIONS:
         e = _ABBREVIATIONS[e.name]
-    if isinstance(e, IntLit) and e.value == 1:
-        return QProduct(())
-    if isinstance(e, (Mul, Div)):
-        left = _as_product(e.left)
-        right = None if left is None else _as_product(e.right)
-        if right is None:
-            return None
-        if isinstance(e, Div):
-            right = right.transform(scale=-1)
-        return QProduct(left.factors + right.factors)
+    if isinstance(e, IntLit):
+        return e.value, 0, QProduct(())
+    if isinstance(e, QVar):
+        return 1, 1, QProduct(())
     if isinstance(e, JP):
-        return QProduct([PochFactor(s, j, e.base, 1) for s, j in e.numerator]
-                        + [PochFactor(s, j, e.base, -1) for s, j in e.denominator])
+        return 1, 0, QProduct([PochFactor(s, j, e.base, 1) for s, j in e.numerator]
+                              + [PochFactor(s, j, e.base, -1) for s, j in e.denominator])
+    if isinstance(e, Neg):
+        e = Mul(IntLit(-1), e.operand)
+    elif isinstance(e, Div):
+        e = Mul(e.left, Pow(e.right, -1))
+    if isinstance(e, Mul):
+        a = _as_term(e.left)
+        b = None if a is None else _as_term(e.right)
+        if b is None:
+            return None
+        return a[0] * b[0], a[1] + b[1], QProduct(a[2].factors + b[2].factors)
     if isinstance(e, Subst):
-        p = _as_product(e.operand)
-        return None if p is None else p.transform(subst=e.power)
+        t = _as_term(e.operand)
+        return None if t is None else (t[0], t[1] * e.power, t[2].transform(subst=e.power))
     if isinstance(e, Pow):
-        p = _as_product(e.base)
-        return None if p is None else p.transform(scale=e.exponent)
+        t, n = _as_term(e.base), e.exponent
+        if t is None or (n < 0 and t[0] not in (1, -1)):
+            return None
+        # (-1)**-1 is a float; c**|n| equals c**n for c = +-1
+        return t[0] ** abs(n), t[1] * n, t[2].transform(scale=n)
     return None
 
 
@@ -455,18 +464,16 @@ class Evaluator:
         return s
 
     def _eval_uncached(self, e, m):
-        if isinstance(e, IntLit):
-            return Series(0, [e.value], m)
-        p = _as_product(e)
-        if p is not None:
-            return products.product_expand(p, m)
-        if isinstance(e, QVar):
-            return Series.monomial(1, 1, m)
+        t = _as_term(e)
+        if t is not None:
+            c, k, p = t
+            if c == 0 or k >= m:
+                return Series.zero(m)
+            s = products.product_expand(p, m - k)
+            return s if c == 1 and k == 0 else s.shift(k).scalar_mul(c)
         if isinstance(e, Func):
             if e.name == "phi":
                 return products.phi(e.sign, m)
-            if e.name in _ABBREVIATIONS:
-                return self._eval(_ABBREVIATIONS[e.name], m)
             return _FUNC_EVAL[e.name](m)
         if isinstance(e, Subst):
             inner = self._eval(e.operand, (m + e.power - 1) // e.power)
@@ -480,8 +487,8 @@ class Evaluator:
         if isinstance(e, Mul):
             return self._eval(e.left, m).mul(self._eval(e.right, m))
         if isinstance(e, Div):
-            if _as_product(e.right) is not None:
-                # a product inverts by negating its powers: no Newton step
+            if _as_term(Pow(e.right, -1)) is not None:
+                # a term inverts by negating its powers: no Newton step
                 return self._eval(e.left, m).mul(self._eval(Pow(e.right, -1), m))
             return _exact_div(self._eval(e.left, m), self._eval(e.right, m))
         if isinstance(e, Pow):

@@ -128,7 +128,7 @@ def detect_period(e, m):
     """
     n = e.order
     if n < 3 * m:
-        raise ValueError(f"need exponents to at least 3*{m}, have {n}")
+        raise OrderExceeded(f"period {m} needs exponents to at least 3*{m}, have {n}")
 
     def fit(period):
         pat = {}

@@ -6,9 +6,10 @@ A ``QProduct`` is a finite list of factors (s*q^j; q^m)^e with s = +-1.
 Hirschhorn 2017, "The Power of q"): each has O(sqrt(N/m)) terms below q^N,
 so multiplying or dividing by it is one O(N*sqrt(N/m)) pass, made of
 list-slice updates (``_theta_pass``).  Unpaired factors keep dense
-O(N^2/m) passes.  The evaluator folds products and quotients of products
-into one ``QProduct`` (``exprlang._as_product``), so a series such as
-1/(R(q)*R(q^2)^2) is one expansion, with no convolution or Newton step.
+O(N^2/m) passes.  The evaluator folds every term c*q^k*(products and
+quotients of products) into one ``QProduct`` (``exprlang._as_term``), so a
+series such as 1/(R(q)*R(q^2)^2), or k = q*R(q)*R(q^2)^2, is one
+expansion, shifted and scaled, with no convolution or Newton step.
 The sum sides (``G_sum``, ``H_sum``, ``phi``, ``psi``) are independent of
 all this and act as oracles for it.
 """

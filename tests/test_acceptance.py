@@ -13,7 +13,7 @@ import pytest
 
 from qdissect import products, signscan
 from qdissect.dissection import Dissection, dissect, recombine, slice_support_check
-from qdissect.exprlang import JP, Evaluator, _as_product, parse, to_text
+from qdissect.exprlang import JP, Evaluator, _as_term, parse, to_text
 from qdissect.prodmake import detect_period, prodmake
 from qdissect.registry import (
     IdentityRecord, load_registry, verify, verify_all, verify_proof_pipeline,
@@ -113,7 +113,7 @@ def test_criterion_5_prodmake_recovers_the_theorems():
             view = detect_period(exps, spec.period)
             assert view is not None, (target, i)
             assert not view.leading_exceptions, (target, i)
-            eta_want, plus_want = _as_product(parse(jptext)).exponent_pattern(
+            eta_want, plus_want = _as_term(parse(jptext))[2].exponent_pattern(
                 spec.period
             )
             assert view.eta == eta_want, (target, i)
@@ -152,7 +152,7 @@ def test_criterion_6_oracles_and_properties():
                 seen[to_text(node)] = node
     assert len(seen) >= 30
     for node in seen.values():
-        p = _as_product(node)
+        p = _as_term(node)[2]
         f = products.product_expand(p, 200)
         exps = prodmake(f, 200)  # re-expansion soundness is checked inside
         expect = {}

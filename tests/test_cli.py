@@ -194,6 +194,34 @@ def test_deep_expressions_are_one_line_errors(capsys, expr):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--id", "nope"), "UsageError: no registry identity named 'nope'"),
+        (("dissect", "R(q)", "--mod", "5", "--slice", "7"), "UsageError: slice must be in 0..4"),
+        (("dissect", "R(q)", "--mod", "5", "--slice", "-1"), "UsageError: slice must be in 0..4"),
+        (("dissect", "R(q)", "--mod", "11", "--order", "10"), "UsageError: mod 11 exceeds order 10"),
+        (("dissect", "R(q)", "--mod", "1000000000", "--order", "10"), "UsageError: mod 1000000000"),
+        (("prodmake", "1+q", "--order", "10", "--period", "0"), "UsageError: period must be >= 1"),
+        (("prodmake", "1+q", "--order", "10", "--period", "-3"), "UsageError: period must be >= 1"),
+        (("prodmake", "1+q", "--order", "10", "--period", "50"),
+         "OrderExceeded: period 50 needs exponents to at least 3*50, have 10"),
+        (("signs", "--which", "alpha", "--order", "5", "--csv", "{tmp}/missing/x.csv"),
+         "UsageError: cannot write {tmp}/missing/x.csv: No such file or directory"),
+    ],
+    ids=["unknown-id", "slice-past-mod", "negative-slice", "mod-past-order", "huge-mod",
+         "period-zero", "negative-period", "period-past-order", "unwritable-csv"],
+)
+def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, message):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message.replace("{tmp}", str(tmp_path)) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_order_validation(capsys):
     code, _, err = run(capsys, "expand", "q", "--order", "0")
     assert code == 2

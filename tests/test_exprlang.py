@@ -1,13 +1,16 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qdissect import products
+from qdissect import _kernels, products
 from qdissect.errors import NonUnitLeadingCoefficient, ParseError
 from qdissect.exprlang import (
     JP, MAX_DEPTH, Add, Div, Evaluator, Func, IntLit, Mul, Neg, Pow, QVar, Sub,
-    Subst, _as_product, _exact_div, evaluate, parse, to_text,
+    Subst, _as_term, _exact_div, evaluate, parse, to_text,
 )
+from qdissect.products import QProduct
+from qdissect.registry import load_registry
+from qdissect.series import Series
 
 
 def test_parse_basic_shapes():
@@ -250,6 +253,12 @@ PRODUCT_LEAVES = [parse(t) for t in (
 )]
 
 
+def product_of(e):
+    c, k, p = _as_term(e)
+    assert (c, k) == (1, 0)
+    return p
+
+
 def separately(e, n):
     """Oracle: every product leaf expanded on its own, the leaves combined
     by Series.mul and _exact_div."""
@@ -257,7 +266,7 @@ def separately(e, n):
         return separately(e.left, n).mul(separately(e.right, n))
     if isinstance(e, Div):
         return _exact_div(separately(e.left, n), separately(e.right, n))
-    return products.product_expand(_as_product(e), n)
+    return products.product_expand(product_of(e), n)
 
 
 @given(st.recursive(
@@ -267,18 +276,148 @@ def separately(e, n):
 ), st.integers(1, 150))
 @settings(max_examples=80, deadline=None)
 def test_folded_products_match_separate_leaves(e, n):
-    p = _as_product(e)
-    assert p is not None
+    p = product_of(e)
     assert products.product_expand(p, n) == separately(e, n)
     assert Evaluator().eval(e, n) == separately(e, n)
 
 
 def test_fold_keeps_left_factors_then_negated_right():
     g, h = parse("G(q)"), parse("H(q^2)^3")
-    pg, ph = _as_product(g), _as_product(h)
-    assert _as_product(Mul(g, h)).factors == pg.factors + ph.factors
-    assert _as_product(Div(g, h)).factors == pg.factors + ph.transform(scale=-1).factors
-    assert _as_product(parse("subst(G(q)/H(q), 2)^-2")) == (
-        _as_product(Div(Func("G"), Func("H"))).transform(subst=2, scale=-2))
-    for text in ("q*R(q)", "R(q)/(1+q)", "2*G(q)", "k"):
-        assert _as_product(parse(text)) is None
+    pg, ph = product_of(g), product_of(h)
+    assert product_of(Mul(g, h)).factors == pg.factors + ph.factors
+    assert product_of(Div(g, h)).factors == pg.factors + ph.transform(scale=-1).factors
+    assert product_of(parse("subst(G(q)/H(q), 2)^-2")) == (
+        product_of(Div(Func("G"), Func("H"))).transform(subst=2, scale=-2))
+    # scalars and powers of q fold into the same term
+    r, r2 = product_of(parse("R(q)")), product_of(parse("R(q^2)^2"))
+    assert _as_term(parse("q*R(q)")) == (1, 1, r)
+    assert _as_term(parse("2*G(q)")) == (2, 0, pg)
+    assert _as_term(parse("k")) == (1, 1, QProduct(r.factors + r2.factors))
+    for text in ("R(q)/(1+q)", "R(q)/(2*q)", "(3*q)^-2", "1/0", "G(q) + H(q)"):
+        assert _as_term(parse(text)) is None
+
+
+# -- the term normal form c*q^k*product --------------------------------------------
+
+SCALAR_AND_Q_LEAVES = [IntLit(c) for c in (-2, -1, 0, 2, 3)] + [
+    parse(t) for t in ("q", "q^-1", "q^-2", "k", "1/k")]
+
+
+def q_bound(e):
+    """A bound on |k| for a term c*q^k*product, from the shape of the tree."""
+    if isinstance(e, QVar) or e == Func("k"):
+        return 1
+    if isinstance(e, (Mul, Div)):
+        return q_bound(e.left) + q_bound(e.right)
+    if isinstance(e, Neg):
+        return q_bound(e.operand)
+    if isinstance(e, Pow):
+        return abs(e.exponent) * q_bound(e.base)
+    if isinstance(e, Subst):
+        return e.power * q_bound(e.operand)
+    return 0
+
+
+class TooShort(Exception):
+    """The oracle's order cannot tell a divisor's leading coefficient."""
+
+
+def unit_divisor(node, b):
+    # a term's leading coefficient is its constant once the order passes |k|
+    if b is None:
+        return None
+    if b.order <= q_bound(node):
+        raise TooShort
+    return b if b.leading_coefficient() in (1, -1) else None
+
+
+def leafwise(e, n):
+    """Oracle for a term: each leaf expanded on its own (q by a shift), the
+    leaves combined by Series.mul and _exact_div.  None when some divisor's
+    leading coefficient is not +-1, where the fold must give None too."""
+    if isinstance(e, IntLit):
+        return Series(0, [e.value], n)
+    if isinstance(e, QVar):
+        return Series.one(n).shift(1)
+    if e == Func("k"):
+        return leafwise(parse("q*R(q)*R(q^2)^2"), n)
+    if isinstance(e, Neg):
+        a = leafwise(e.operand, n)
+        return None if a is None else a.negate()
+    if isinstance(e, Subst):
+        a = leafwise(e.operand, -(-n // e.power))
+        return None if a is None else a.substitute_power(e.power).truncate(n)
+    if isinstance(e, (Mul, Div)):
+        a = leafwise(e.left, n)
+        b = leafwise(e.right, n)
+        if isinstance(e, Div):
+            b = unit_divisor(e.right, b)
+            return None if a is None or b is None else _exact_div(a, b)
+        return None if a is None or b is None else a.mul(b)
+    if isinstance(e, Pow):
+        a = leafwise(e.base, n)
+        if e.exponent > 0:
+            return None if a is None else a.pow(e.exponent)
+        a = unit_divisor(e.base, a)
+        return None if a is None else _exact_div(Series.one(a.order), a.pow(-e.exponent))
+    return products.product_expand(product_of(e), n)
+
+
+@given(st.recursive(
+    st.sampled_from(PRODUCT_LEAVES) | st.sampled_from(SCALAR_AND_Q_LEAVES),
+    lambda inner: st.one_of(
+        st.builds(Mul, inner, inner),
+        st.builds(Div, inner, inner),
+        st.builds(Neg, inner),
+        st.builds(Subst, inner, st.integers(2, 3)),
+        st.builds(Pow, inner, st.sampled_from([-2, -1, 2, 3])),
+    ),
+    max_leaves=5,
+), st.integers(1, 60))
+@example(Div(IntLit(1), IntLit(0)), 5)
+@example(Pow(Neg(IntLit(1)), -1), 5)
+@example(Pow(Mul(IntLit(3), QVar()), -2), 5)
+@example(Div(QVar(), Mul(IntLit(-1), Func("R"))), 30)
+@example(Subst(Div(IntLit(1), Func("k")), 3), 30)
+@example(Mul(IntLit(0), Pow(QVar(), -3)), 7)
+@settings(max_examples=200, deadline=None)
+def test_terms_match_their_leaves_combined_separately(e, n):
+    assume(q_bound(e) <= 24)
+    order = n + 120
+    try:
+        want = leafwise(e, order)
+    except TooShort:
+        assume(False)
+    t = _as_term(e)
+    if want is None:
+        assert t is None
+        return
+    c, k, p = t
+    assert type(c) is int
+    folded = products.product_expand(p, order).shift(k).scalar_mul(c)
+    m = min(folded.order, want.order)
+    assert folded.truncate(m) == want.truncate(m)
+    if want.order >= n:
+        got = Evaluator().eval(e, n)
+        assert got == want.truncate(n)
+        assert all(type(x) is int for x in got.coeffs)
+
+
+def test_terms_expand_without_convolution(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(products, "product_expand", spy("expand", products.product_expand))
+    monkeypatch.setattr(_kernels, "conv", spy("conv", _kernels.conv))
+    assert Evaluator().eval("k", 600).order == 600
+    assert calls == ["expand"]
+    calls.clear()
+    # a 5-dissection: a sum of four terms c*q^k*product
+    rhs = load_registry().record("gg-quotient-5dis").rhs
+    assert Evaluator().eval(rhs, 600).order == 600
+    assert calls == ["expand"] * 4

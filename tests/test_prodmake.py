@@ -126,7 +126,7 @@ def test_detect_period_all_minus_one():
 
 def test_detect_period_requires_enough_exponents():
     f = products.poch_expand(PochFactor(1, 1, 1, -1), 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(OrderExceeded):
         detect_period(prodmake(f, 20), 7)
 
 

@@ -75,6 +75,15 @@ def test_quick_verification_smoke(reg):
         assert report.passed, report
 
 
+def test_registry_at_twice_its_suggested_orders(reg):
+    # deeper evidence than the acceptance suite's suggested orders: every
+    # product contributes twice as many factors
+    ev = Evaluator()
+    reports = [verify(rec, order=2 * rec.suggested_order, evaluator=ev) for rec in reg]
+    assert len(reports) == 43
+    assert [r for r in reports if not r.passed] == []
+
+
 def test_monotonicity_spot_check(reg):
     rec = reg.record("gh-cross-sum")
     assert verify(rec, order=300).passed
@@ -179,7 +188,7 @@ def test_duplicate_ids_rejected(tmp_path):
 
 
 def test_every_registry_product_is_a_unit_at_valuation_zero(reg):
-    from qdissect.exprlang import JP, Evaluator, _as_product, to_text
+    from qdissect.exprlang import JP, Evaluator, _as_term, to_text
     from qdissect import products as prod_mod
 
     def walk(node):
@@ -197,5 +206,5 @@ def test_every_registry_product_is_a_unit_at_valuation_zero(reg):
                 seen[to_text(node)] = node
     assert len(seen) >= 30
     for node in seen.values():
-        s = prod_mod.product_expand(_as_product(node), 50)
+        s = prod_mod.product_expand(_as_term(node)[2], 50)
         assert s.val == 0 and s.leading_coefficient() == 1
