@@ -20,11 +20,10 @@ like ``G(q^2)`` is sugar for ``subst(G(q), 2)``.
 
 import re
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 from . import products
-from .errors import NonUnitLeadingCoefficient, ParseError
+from .errors import ParseError
 from .products import PochFactor, QProduct
 from .series import Series
 
@@ -490,44 +489,10 @@ class Evaluator:
             if _as_term(Pow(e.right, -1)) is not None:
                 # a term inverts by negating its powers: no Newton step
                 return self._eval(e.left, m).mul(self._eval(Pow(e.right, -1), m))
-            return _exact_div(self._eval(e.left, m), self._eval(e.right, m))
+            return self._eval(e.left, m).div(self._eval(e.right, m))
         if isinstance(e, Pow):
-            if e.exponent < 0:
-                base = self._eval(e.base, m).pow(-e.exponent)
-                return _exact_div(Series.one(base.order), base)
             return self._eval(e.base, m).pow(e.exponent)
         raise TypeError(f"not an expression node: {e!r}")
-
-
-def _exact_div(a, b):
-    """a/b over the integers.
-
-    When b's leading coefficient is not +-1 the quotient can still be
-    integral if the leading coefficient divides all of b (so b = g * unit)
-    and the final result divides by g exactly; both conditions are checked
-    and anything else raises NonUnitLeadingCoefficient.  This is what makes
-    ratios whose displayed numerator and denominator share a constant
-    factor (both sides even, say) evaluable without rational arithmetic.
-    """
-    lead = b.leading_coefficient()
-    if lead in (1, -1):
-        return a.mul(b.invert())
-    g = 0
-    for c in b.coeffs:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    if g == 0 or abs(lead) != g:
-        # content does not reduce the leading coefficient to a unit
-        return a.mul(b.invert())  # raises with the precise message
-    scaled = a.mul(b.exact_scalar_div(g).invert())
-    try:
-        return scaled.exact_scalar_div(g)
-    except ValueError:
-        raise NonUnitLeadingCoefficient(
-            f"quotient needs rational coefficients (content {g} of the "
-            "denominator does not divide the numerator)"
-        ) from None
 
 
 def evaluate(e, order, evaluator: Optional[Evaluator] = None):

@@ -103,7 +103,7 @@ def prodmake(f, n):
     g = gcd(*(i for i, c in enumerate(f.coeffs) if c)) or 1
     m = -(-n // g)
     f = Series(0, f.coeffs[::g], m)  # the input is exactly f(q^g)
-    t = f.q_derivative().negate().mul(f.invert())
+    t = f.q_derivative().negate().div(f)
     exponents = {}
     divsum = [0] * m
     for k in range(1, m):

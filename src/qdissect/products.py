@@ -162,7 +162,8 @@ def product_expand(p, n):
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    g = gcd(*(x for f in p.factors for x in (f.offset, f.modulus))) or 1
+    # the empty product is one in q^n, so 1 costs one coefficient, whatever n
+    g = gcd(*(x for f in p.factors for x in (f.offset, f.modulus))) or n
     plus = Counter()  # (a, m) -> net power of (q^a;q^m)
     for f in p.factors:
         a, m = f.offset // g, f.modulus // g

@@ -9,6 +9,8 @@ Values are immutable after construction and all operations are pure, so
 series can be shared freely across threads.
 """
 
+from math import gcd
+
 from . import _kernels
 from .errors import NonUnitLeadingCoefficient, OrderExceeded
 
@@ -105,7 +107,6 @@ class Series:
     # -- ring operations ---------------------------------------------------
 
     def add(self, other):
-        other = _promote(other, self.order)
         order = min(self.order, other.order)
         if self.is_zero():
             return other.truncate(order)
@@ -125,11 +126,9 @@ class Series:
         return Series(self.val, [-c for c in self.coeffs], self.order)
 
     def sub(self, other):
-        other = _promote(other, self.order)
         return self.add(other.negate())
 
     def mul(self, other):
-        other = _promote(other, self.order)
         order = min(self.order + other.val, other.order + self.val)
         if self.is_zero() or other.is_zero():
             return Series(order, [], order)
@@ -177,12 +176,31 @@ class Series:
         return Series(-self.val, w, self.order - 2 * self.val)
 
     def div(self, other):
-        other = _promote(other, self.order)
-        return self.mul(other.invert())
+        """Exact quotient self/other over the integers.
+
+        A divisor with leading coefficient +-1 inverts by Newton.  One whose
+        leading coefficient equals its content g in absolute value is g times
+        a unit: divide by the unit, then by g, which must be exact.  Anything
+        else raises NonUnitLeadingCoefficient.
+        """
+        lead = other.leading_coefficient()
+        if lead not in (1, -1):
+            g = gcd(*other.coeffs)
+            if lead and abs(lead) == g:
+                scaled = self.mul(other.exact_scalar_div(g).invert())
+                try:
+                    return scaled.exact_scalar_div(g)
+                except ValueError:
+                    raise NonUnitLeadingCoefficient(
+                        f"quotient needs rational coefficients (content {g} of the "
+                        "denominator does not divide the numerator)"
+                    ) from None
+        return self.mul(other.invert())  # raises with the precise message
 
     def pow(self, n):
         if n < 0:
-            return self.invert().pow(-n)
+            p = self.pow(-n)
+            return Series.one(p.order).div(p)
         if n == 0:
             return Series.one(self.order)
         base = self
@@ -233,16 +251,6 @@ class Series:
             and self.order == other.order
         )
 
-    def __hash__(self):
-        return hash((self.val, tuple(self.coeffs), self.order))
-
-    def agrees_with(self, other, n):
-        """True when both series have the same coefficients below n."""
-        if n > min(self.order, other.order):
-            raise OrderExceeded(f"cannot compare to order {n}")
-        lo = min(self.val, other.val, n)
-        return self.coefficients(lo, n) == other.coefficients(lo, n)
-
     def first_difference(self, other):
         """Smallest trusted exponent where the two differ, or None."""
         n = min(self.order, other.order)
@@ -282,35 +290,3 @@ class Series:
 
     def __repr__(self):
         return f"Series({self})"
-
-    # operator sugar
-
-    __add__ = add
-    __sub__ = sub
-    __mul__ = mul
-    __neg__ = negate
-    __pow__ = pow
-
-    def __radd__(self, other):
-        return _promote(other, self.order).add(self)
-
-    def __rsub__(self, other):
-        return _promote(other, self.order).sub(self)
-
-    def __rmul__(self, other):
-        return self.scalar_mul(other)
-
-    def __truediv__(self, other):
-        return self.div(other)
-
-    def __rtruediv__(self, other):
-        return _promote(other, self.order).div(self)
-
-
-def _promote(x, order):
-    if isinstance(x, Series):
-        return x
-    if isinstance(x, int):
-        return Series(0, [x], order)
-    raise TypeError(f"cannot treat {type(x).__name__} as a series")
-

@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,3 +230,18 @@ def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, message):
 def test_order_validation(capsys):
     code, _, err = run(capsys, "expand", "q", "--order", "0")
     assert code == 2
+
+
+def test_huge_negative_power_of_q_is_constant_size():
+    """q^-N is the empty product shifted: O(1) coefficients, not N."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cap = 2 << 30  # address space, so that a regression fails instead of allocating gigabytes
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdissect.cli", "expand", "q^-1000000000", "--order", "5"],
+        capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "-1000000000\t1\n# trusted below q^5\n"

@@ -6,7 +6,7 @@ from qdissect import _kernels, products
 from qdissect.errors import NonUnitLeadingCoefficient, ParseError
 from qdissect.exprlang import (
     JP, MAX_DEPTH, Add, Div, Evaluator, Func, IntLit, Mul, Neg, Pow, QVar, Sub,
-    Subst, _as_term, _exact_div, evaluate, parse, to_text,
+    Subst, _as_term, evaluate, parse, to_text,
 )
 from qdissect.products import QProduct
 from qdissect.registry import load_registry
@@ -261,11 +261,11 @@ def product_of(e):
 
 def separately(e, n):
     """Oracle: every product leaf expanded on its own, the leaves combined
-    by Series.mul and _exact_div."""
+    by Series.mul and Series.div."""
     if isinstance(e, Mul):
         return separately(e.left, n).mul(separately(e.right, n))
     if isinstance(e, Div):
-        return _exact_div(separately(e.left, n), separately(e.right, n))
+        return separately(e.left, n).div(separately(e.right, n))
     return products.product_expand(product_of(e), n)
 
 
@@ -333,7 +333,7 @@ def unit_divisor(node, b):
 
 def leafwise(e, n):
     """Oracle for a term: each leaf expanded on its own (q by a shift), the
-    leaves combined by Series.mul and _exact_div.  None when some divisor's
+    leaves combined by Series.mul and Series.div.  None when some divisor's
     leading coefficient is not +-1, where the fold must give None too."""
     if isinstance(e, IntLit):
         return Series(0, [e.value], n)
@@ -352,14 +352,13 @@ def leafwise(e, n):
         b = leafwise(e.right, n)
         if isinstance(e, Div):
             b = unit_divisor(e.right, b)
-            return None if a is None or b is None else _exact_div(a, b)
+            return None if a is None or b is None else a.div(b)
         return None if a is None or b is None else a.mul(b)
     if isinstance(e, Pow):
         a = leafwise(e.base, n)
-        if e.exponent > 0:
-            return None if a is None else a.pow(e.exponent)
-        a = unit_divisor(e.base, a)
-        return None if a is None else _exact_div(Series.one(a.order), a.pow(-e.exponent))
+        if e.exponent <= 0:
+            a = unit_divisor(e.base, a)
+        return None if a is None else a.pow(e.exponent)
     return products.product_expand(product_of(e), n)
 
 

@@ -1,5 +1,8 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdissect.errors import NonUnitLeadingCoefficient, OrderExceeded
@@ -226,6 +229,74 @@ def test_truncation_soundness(a, b, k):
     assert full.truncate(m) == direct.truncate(m)
 
 
+# -- exact division against rational long division -------------------------------
+
+def fraction_div(a, b):
+    """Oracle: a/b by the naive long-division recurrence over the rationals,
+    as (valuation, coefficients, order).  b's leading coefficient is nonzero."""
+    val = a.val - b.val
+    order = min(a.order - b.val, b.order - 2 * b.val + a.val)
+    A, B = a.coeffs, b.coeffs
+    c = []
+    for k in range(order - val):
+        s = Fraction(A[k] if k < len(A) else 0)
+        for j in range(1, min(k, len(B) - 1) + 1):
+            s -= B[j] * c[k - j]
+        c.append(s / B[0])
+    return val, c, order
+
+
+def check_exact_quotient(num, den, quotient):
+    """quotient() is num/den when den's leading coefficient is +-1, or when
+    it equals den's content and the rational quotient is integral; otherwise
+    it raises NonUnitLeadingCoefficient."""
+    lead = den.leading_coefficient()
+    if lead in (1, -1) or (lead and abs(lead) == gcd(*den.coeffs)):
+        val, c, order = fraction_div(num, den)
+        if all(x.denominator == 1 for x in c):
+            assert quotient() == Series(val, [int(x) for x in c], order)
+            return
+    with pytest.raises(NonUnitLeadingCoefficient):
+        quotient()
+
+
+@st.composite
+def int_series(draw, g=1, lead=None):
+    """Valuation 0..2, at most 12 coefficients in -9..9, all multiples of g."""
+    cs = draw(st.lists(st.integers(-(9 // g), 9 // g), max_size=12 if lead is None else 11))
+    if lead is not None:
+        cs = [lead] + cs
+    val = draw(st.integers(0, 2))
+    return Series(val, [g * c for c in cs], val + len(cs) + draw(st.integers(1, 4)))
+
+
+@st.composite
+def quotients(draw):
+    """(a, b) with b's leading coefficient a unit, equal to its content 2 or 3,
+    or anything; a is sometimes a multiple of that content."""
+    g = draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["unit", "content", "any"]))
+    if kind == "any":
+        b = draw(int_series())
+    else:
+        g_b = g if kind == "content" else 1
+        b = draw(int_series(g_b, lead=draw(st.sampled_from([1, -1]))))
+    return draw(int_series(draw(st.sampled_from([1, g])))), b
+
+
+@given(quotients())
+@example((Series(0, [2, 3], 10), Series(0, [2, 3], 10)))
+@example((Series(0, [2, 4], 10), Series(0, [2, 2], 10)))
+@example((Series(0, [1], 10), Series(0, [2, 2], 10)))
+@settings(max_examples=300)
+def test_div_matches_rational_long_division(ab):
+    a, b = ab
+    check_exact_quotient(a, b, lambda: a.div(b))
+    square = {e: c for e, c in poly_mul(as_dict(b), as_dict(b)).items() if e < b.order + b.val}
+    b2 = Series.make(square.items(), b.order + b.val)
+    check_exact_quotient(Series.one(b2.order), b2, lambda: b.pow(-2))
+
+
 def test_first_difference_handles_laurent_and_equal():
     x = Series.make([(-2, 1), (0, 3)], 10)
     y = Series.make([(-2, 1), (0, 4)], 10)
@@ -233,7 +304,3 @@ def test_first_difference_handles_laurent_and_equal():
     z = Series.make([(-3, 1)], 10)
     assert x.first_difference(z) == -3
     assert x.first_difference(x) is None
-    assert x.agrees_with(x, 10)
-    assert not x.agrees_with(y, 10)
-    with pytest.raises(OrderExceeded):
-        x.agrees_with(y, 11)
