@@ -6,7 +6,8 @@ A ``QProduct`` is a finite list of factors (s*q^j; q^m)^e with s = +-1.
 Hirschhorn 2017, "The Power of q"): each has O(sqrt(N/m)) terms below q^N,
 so multiplying or dividing by it is one O(N*sqrt(N/m)) pass, made of
 list-slice updates (``_theta_pass``).  Unpaired factors keep dense
-O(N^2/m) passes.  The evaluator folds every term c*q^k*(products and
+O(N^2/m) passes, one O(N) pass of slice updates per linear factor
+(``_apply_factor``).  The evaluator folds every term c*q^k*(products and
 quotients of products) into one ``QProduct`` (``exprlang._as_term``), so a
 series such as 1/(R(q)*R(q^2)^2), or k = q*R(q)*R(q^2)^2, is one
 expansion, shifted and scaled, with no convolution or Newton step.
@@ -16,6 +17,7 @@ all this and act as oracles for it.
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, gcd
 from operator import add, sub
 
@@ -87,18 +89,30 @@ class QProduct:
 def _apply_factor(c, d, s, e, n):
     """Multiply the coefficient list c by (1 - s*q^d)^e in place.
 
-    Small |e| uses one O(n) pass per power; large |e| (prodmake output can
-    carry necklace-sized exponents) expands the binomial series of the
-    factor power and does a single convolution instead.
+    Small |e| uses one O(n) pass per power, made of list-slice updates.
+    Multiplying subtracts s times the shifted input, one slice update.
+    Dividing (c[i] += s*c[i-d] upwards) is a running sum over each residue
+    class mod d when d*d < n and s = 1 (a running sum only adds); otherwise
+    it is one slice update per block of d indices, each reading only the
+    finished block before it.
+    Large |e| (prodmake output can carry necklace-sized exponents) expands
+    the binomial series of the factor power and does a single convolution
+    instead.
     """
     if abs(e) <= 8:
+        if d >= n:
+            return
+        op = add if s * e < 0 else sub
         for _ in range(abs(e)):
             if e > 0:
-                for i in range(n - 1, d - 1, -1):
-                    c[i] -= s * c[i - d]
+                c[d:n] = map(op, c[d:n], c[:n - d])
+            elif s > 0 and d * d < n:
+                for r in range(d):
+                    c[r:n:d] = accumulate(c[r:n:d])
             else:
-                for i in range(d, n):
-                    c[i] += s * c[i - d]
+                for lo in range(d, n, d):
+                    hi = min(lo + d, n)
+                    c[lo:hi] = map(op, c[lo:hi], c[lo - d:hi - d])
         return
     fc = [0] * n
     for k in range(0, (n - 1) // d + 1):
@@ -215,8 +229,7 @@ def _rr_sum(n, step_bump):
             break
         t = [0] * (2 * k - 1 + step_bump) + t[: n - (2 * k - 1 + step_bump)]
         _apply_factor(t, k, 1, -1, n)
-        for i in range(shift_total, n):
-            out[i] += t[i]
+        out[shift_total:] = map(add, out[shift_total:], t[shift_total:])
     return Series(0, out, n)
 
 

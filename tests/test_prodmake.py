@@ -10,6 +10,20 @@ from qdissect.prodmake import detect_period, expand_exponents, prodmake, with_pe
 from qdissect.series import Series
 
 
+def naive_product(exponents, n):
+    """Oracle: prod (1-q^k)^(a_k) to order n, one index at a time."""
+    c = [1] + [0] * (n - 1)
+    for k, a in exponents.items():
+        for _ in range(abs(a)):
+            if a > 0:
+                for i in range(n - 1, k - 1, -1):
+                    c[i] -= c[i - k]
+            else:
+                for i in range(k, n):
+                    c[i] += c[i - k]
+    return c
+
+
 def test_partition_function_gives_all_minus_one():
     f = products.poch_expand(PochFactor(1, 1, 1, -1), 40)
     e = prodmake(f, 40)
@@ -73,6 +87,35 @@ def test_series_in_q_to_the_g_matches_its_compression(g, support, n):
     m = -(-n // g)
     compressed = prodmake(Series(0, f.coeffs[::g], m), m).exponents
     assert {g * k: a for k, a in compressed.items()} == expected
+
+
+@given(
+    st.dictionaries(
+        st.integers(1, 150),
+        st.one_of(st.integers(-8, 8), st.sampled_from([-12, -9, 9, 10])),
+        max_size=12,
+    ),
+    st.integers(1, 150),
+)
+@settings(max_examples=150, deadline=None)
+def test_expand_exponents_matches_naive_product(exponents, n):
+    # mixed signs, some |a| > 8, some k at or past n
+    assert expand_exponents(exponents, n).coefficients(0, n) == naive_product(exponents, n)
+
+
+def test_expand_exponents_of_a_theorem_slice_at_length_400():
+    # first product of the alpha dissection at order 2000 is F(q^5) with F
+    # of length 400: its divisions by (1-q^k), k >= 20, run in long blocks
+    f = Evaluator().eval(
+        "JP(q^5,q^5,q^25,q^25,q^25,q^25,q^45,q^45;"
+        "q^10,q^10,q^10,q^20,q^30,q^40,q^40,q^40;q^50)",
+        2000,
+    )
+    table = {k // 5: a for k, a in prodmake(f, 2000).exponents.items()}
+    assert max(table) == 399 and min(table.values()) < 0 < max(table.values())
+    want = naive_product(table, 400)
+    assert want == f.coeffs[::5]
+    assert expand_exponents(table, 400).coefficients(0, 400) == want
 
 
 def test_partial_gcd_support_and_constant_are_not_compressed():

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,17 @@ def dense_expand(p, n):
         for d in range(f.offset, n, f.modulus):
             _apply_factor(c, d, f.sign, f.power, n)
     return c
+
+
+def index_loop_factor(c, d, s, e, n):
+    """Oracle: c times (1 - s*q^d)^e in place, one index at a time."""
+    for _ in range(abs(e)):
+        if e > 0:
+            for i in range(n - 1, d - 1, -1):
+                c[i] -= s * c[i - d]
+        else:
+            for i in range(d, n):
+                c[i] += s * c[i - d]
 
 
 def partition_dp(parts, n):
@@ -250,3 +262,32 @@ def test_theta_pass_matches_series_mul_and_invert(am, n, seed, divide):
     want = f.mul(theta.invert() if divide else theta)
     _theta_pass(c, a, m, divide)
     assert Series(0, c, n) == want
+
+
+@given(
+    st.integers(1, 200), st.integers(1, 220), st.sampled_from([1, -1]),
+    st.one_of(st.integers(-8, 8).filter(bool), st.sampled_from([-13, -9, 9, 11])),
+    st.integers(0, 2**32),
+)
+@example(100, 10, 1, -1, 1)  # d*d == n
+@example(100, 10, -1, -2, 2)
+@example(50, 49, 1, -3, 3)  # d == n - 1
+@example(50, 49, -1, 2, 4)
+@example(50, 50, 1, -1, 5)  # d == n
+@example(99, 9, -1, -1, 6)  # d*d < n with s = -1
+@example(200, 7, -1, -8, 7)
+@settings(max_examples=300, deadline=None)
+def test_apply_factor_matches_index_loop(n, d, s, e, seed):
+    # mixed-sign coefficients of up to 70 bits; d below sqrt(n), above it
+    # and past n, so every kind of dense pass runs
+    rng = random.Random(seed)
+    c = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 70)) for _ in range(n)]
+    want = c[:]
+    index_loop_factor(want, d, s, e, n)
+    with mock.patch.object(products, "accumulate", wraps=products.accumulate) as sums:
+        _apply_factor(c, d, s, e, n)
+    assert c == want
+    # the d*d < n threshold only sets the cost, so values cannot show it:
+    # residue-class sums run exactly for divisions by (1 - q^d)^(<=8), d*d < n
+    dense_division = -8 <= e < 0 and s == 1 and d * d < n
+    assert sums.call_count == (-e * d if dense_division else 0)
