@@ -243,6 +243,10 @@ def _check_args(args):
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):
+        # large integers always print in full decimal; Python 3.11 (and
+        # 3.10.7 on) caps int <-> str conversion at 4300 digits by default
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)

@@ -23,13 +23,10 @@ def dissect(f, m):
             f"dissection needs a power series, got valuation {f.val}"
         )
     n = f.order
-    slices = []
-    for l in range(m):
-        # coefficient of q^(m*i+l) is trusted iff m*i+l < n
-        sl_order = (n - l + m - 1) // m
-        coeffs = [f.coefficient(m * i + l) for i in range(max(sl_order, 0))]
-        slices.append(Series(0, coeffs, max(sl_order, 0)))
-    return Dissection(m, tuple(slices), n)
+    cs = f.coefficients(0, n)
+    # slice l holds the trusted exponents l, l+m, ... below n
+    slices = tuple(Series(0, cs[l::m], len(range(l, n, m))) for l in range(m))
+    return Dissection(m, slices, n)
 
 
 def recombine(d):

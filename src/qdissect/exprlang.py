@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import products
-from .errors import ParseError
+from .errors import NonUnitLeadingCoefficient, ParseError
 from .products import PochFactor, QProduct
 from .series import Series
 
@@ -31,6 +31,11 @@ _CALL_NAMES = ("G", "H", "R", "Rinv", "Gsum", "Hsum", "psi", "phi")
 
 # Deepest AST and bracket nesting ``parse`` accepts (the registry needs 15).
 MAX_DEPTH = 100
+
+# ``Evaluator.eval`` works this many exponents past the requested order, and
+# looks at most MAX_SLACK past it for a divisor that is not zero there.
+SLACK = 16
+MAX_SLACK = 4096
 
 
 # -- AST -------------------------------------------------------------------
@@ -119,7 +124,11 @@ def _tokenize(text):
                 break
             raise ParseError(n - len(stripped), f"unexpected character {stripped[0]!r}")
         if m.group(1):
-            tokens.append(("INT", int(m.group(1)), m.start(1)))
+            try:
+                tokens.append(("INT", int(m.group(1)), m.start(1)))
+            except ValueError:  # int() refuses digits past sys.get_int_max_str_digits()
+                raise ParseError(m.start(1), f"integer literal of {len(m.group(1))} digits "
+                                 "is past the interpreter's limit") from None
         elif m.group(2):
             tokens.append(("NAME", m.group(2), m.start(2)))
         else:
@@ -426,32 +435,48 @@ def _as_term(e):
     return None
 
 
+class _ZeroDivisor(Exception):
+    """Raised with the working order at which a divisor truncates to zero."""
+
+
 class Evaluator:
     """Evaluates ASTs to Series, caching shared subexpressions by node.
 
-    Nodes are frozen and compare by value, and parse(to_text(e)) == e, so
-    equal subexpressions of different source texts share one entry.
+    The cache keys on (node, working order).  Nodes are frozen and compare
+    by value, so equal subexpressions, within one text or across texts,
+    share one entry.
     """
 
     def __init__(self):
         self._cache = {}
 
-    def eval(self, e, order, _slack=16):
+    def eval(self, e, order):
         """Series of e trusted below ``order`` exactly.
 
         Laurent intermediates (division by a positive-valuation series)
-        erode the working order, so evaluate with slack and retry deeper
-        if the result comes back short.
+        erode the working order, so evaluate SLACK past it and retry deeper
+        if the result comes back short.  A divisor that is zero at the
+        working order may start deeper: retry up to MAX_SLACK past the
+        order, then give up with NonUnitLeadingCoefficient.
         """
         if isinstance(e, str):
             e = parse(e)
         if order < 1:
             raise ValueError("order must be >= 1")
+        slack = SLACK
         while True:
-            s = self._eval(e, order + _slack)
+            try:
+                s = self._eval(e, order + slack)
+            except _ZeroDivisor as exc:
+                if slack >= MAX_SLACK:
+                    raise NonUnitLeadingCoefficient(
+                        f"cannot invert the zero series (a divisor is zero below q^{exc.args[0]})"
+                    ) from None
+                slack = min(2 * slack, MAX_SLACK)
+                continue
             if s.order >= order:
                 return s.truncate(order)
-            _slack = 2 * _slack + (order - s.order)
+            slack = 2 * slack + (order - s.order)
 
     def _eval(self, e, m):
         key = (e, m)
@@ -489,10 +514,18 @@ class Evaluator:
             if _as_term(Pow(e.right, -1)) is not None:
                 # a term inverts by negating its powers: no Newton step
                 return self._eval(e.left, m).mul(self._eval(Pow(e.right, -1), m))
-            return self._eval(e.left, m).div(self._eval(e.right, m))
+            return self._eval(e.left, m).div(self._divisor(e.right, m))
         if isinstance(e, Pow):
-            return self._eval(e.base, m).pow(e.exponent)
+            base = self._divisor(e.base, m) if e.exponent < 0 else self._eval(e.base, m)
+            return base.pow(e.exponent)
         raise TypeError(f"not an expression node: {e!r}")
+
+    def _divisor(self, e, m):
+        """Series of e at working order m, which a division needs nonzero."""
+        d = self._eval(e, m)
+        if d.is_zero():
+            raise _ZeroDivisor(m)
+        return d
 
 
 def evaluate(e, order, evaluator: Optional[Evaluator] = None):

@@ -103,11 +103,11 @@ def prodmake(f, n):
     g = gcd(*(i for i, c in enumerate(f.coeffs) if c)) or 1
     m = -(-n // g)
     f = Series(0, f.coeffs[::g], m)  # the input is exactly f(q^g)
-    t = f.q_derivative().negate().div(f)
+    t = f.q_derivative().negate().div(f).coefficients(0, m)
     exponents = {}
     divsum = [0] * m
     for k in range(1, m):
-        a = (t.coefficient(k) - divsum[k]) // k
+        a = (t[k] - divsum[k]) // k
         if a:
             exponents[k] = a
             for mult in range(2 * k, m, k):

@@ -167,9 +167,10 @@ def verify(rec, order=None, evaluator=None):
         rhs = ev.eval(rec.rhs, n)
     except QSeriesError as exc:
         return VerifyReport(rec.id, n, False, error=f"{type(exc).__name__}: {exc}")
-    e = lhs.first_difference(rhs)
-    if e is None:
+    diff = lhs.sub(rhs)
+    if diff.is_zero():
         return VerifyReport(rec.id, n, True)
+    e = diff.val  # the first trusted exponent where the sides differ
     return VerifyReport(
         rec.id, n, False,
         mismatch_exponent=e,

@@ -9,6 +9,7 @@ Values are immutable after construction and all operations are pure, so
 series can be shared freely across threads.
 """
 
+import operator
 from math import gcd
 
 from . import _kernels
@@ -96,8 +97,22 @@ class Series:
         return 0
 
     def coefficients(self, lo, hi):
-        """Coefficients of q**lo .. q**(hi-1) as a list."""
-        return [self.coefficient(n) for n in range(lo, hi)]
+        """Coefficients of q**lo .. q**(hi-1) as a list, zero-padded outside
+        the stored run; empty when hi <= lo.
+
+        Raises OrderExceeded, naming the first exponent at or past the order,
+        when the window reaches the order.
+        """
+        if hi <= lo:
+            return []
+        if hi > self.order:
+            raise OrderExceeded(
+                f"coefficient {max(lo, self.order)} beyond trusted order {self.order}"
+            )
+        i = lo - self.val
+        run = self.coeffs[max(i, 0):max(hi - self.val, 0)]
+        pad = min(max(-i, 0), hi - lo)
+        return [0] * pad + run + [0] * (hi - lo - pad - len(run))
 
     def leading_coefficient(self):
         if not self.coeffs:
@@ -108,19 +123,10 @@ class Series:
 
     def add(self, other):
         order = min(self.order, other.order)
-        if self.is_zero():
-            return other.truncate(order)
-        if other.is_zero():
-            return self.truncate(order)
         lo = min(self.val, other.val)
         hi = min(max(self.val + len(self.coeffs), other.val + len(other.coeffs)), order)
-        out = [0] * max(hi - lo, 0)
-        for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                e = s.val + i
-                if e < order:
-                    out[e - lo] += c
-        return Series(lo, out, order)
+        window = map(operator.add, self.coefficients(lo, hi), other.coefficients(lo, hi))
+        return Series(lo, list(window), order)
 
     def negate(self):
         return Series(self.val, [-c for c in self.coeffs], self.order)
@@ -219,11 +225,8 @@ class Series:
         """q -> q**m.  Trusted below m * order."""
         if m < 1:
             raise ValueError("substitution power must be >= 1")
-        if m == 1 or self.is_zero():
-            return Series(self.val * m, self.coeffs, self.order * m)
         out = [0] * ((len(self.coeffs) - 1) * m + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * m] = c
+        out[::m] = self.coeffs
         return Series(self.val * m, out, self.order * m)
 
     def shift(self, k):
@@ -250,15 +253,6 @@ class Series:
             and self.coeffs == other.coeffs
             and self.order == other.order
         )
-
-    def first_difference(self, other):
-        """Smallest trusted exponent where the two differ, or None."""
-        n = min(self.order, other.order)
-        lo = min(self.val, other.val, n)
-        for e in range(lo, n):
-            if self.coefficient(e) != other.coefficient(e):
-                return e
-        return None
 
     def to_json(self):
         return {

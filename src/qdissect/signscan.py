@@ -116,8 +116,7 @@ def scan(name, rule=None, n=1000, series=None):
     f = series if series is not None else series_for(name, n)
     violations = []
     zeros = []
-    for i in range(n):
-        c = f.coefficient(i)
+    for i, c in enumerate(f.coefficients(0, n)):
         want = rule.expected(i)
         if c == 0:
             zeros.append(i)
@@ -130,9 +129,8 @@ def scan_rows(report, series):
     """(n, coefficient, residue, verdict) rows of the series the report scanned."""
     bad = {v.n for v in report.violations}
     return [
-        (i, series.coefficient(i), i % report.rule.modulus,
-         "violation" if i in bad else "ok")
-        for i in range(report.order)
+        (i, c, i % report.rule.modulus, "violation" if i in bad else "ok")
+        for i, c in enumerate(series.coefficients(0, report.order))
     ]
 
 

@@ -227,6 +227,52 @@ def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, message):
     assert len(err.splitlines()) == 1
 
 
+def test_large_integers_print_in_full(capsys):
+    # 2^20000 has 6021 digits, past the interpreter's default limit of 4300
+    code, out, err = run(capsys, "expand", "2^20000", "--order", "1")
+    assert (code, err) == (0, "")
+    assert out == f"0\t{2 ** 20000}\n# trusted below q^1\n"
+    code, out, _ = run(capsys, "expand", "2^20000", "--order", "1", "--json")
+    assert json.loads(out)["series"]["coeffs"] == [str(2 ** 20000)]
+    code, out, err = run(capsys, "verify", "2^20000", "2^20000+q^0", "--order", "1")
+    assert (code, err) == (1, "")
+    assert out == (f"FAIL  adhoc  order=1  (first mismatch at q^0: {2 ** 20000}"
+                   f" vs {2 ** 20000 + 1})\n")
+
+
+@pytest.mark.slow
+def test_fibonacci_past_the_digit_limit_prints_in_full(capsys):
+    # the coefficient of q^n in 1/(1-q-q^2) is F(n+1); F(21000) has 4389 digits
+    code, out, err = run(capsys, "expand", "1/(1-q-q^2)", "--order", "21000")
+    assert (code, err) == (0, "")
+    a, b = 0, 1
+    for _ in range(21000):
+        a, b = b, a + b
+    assert out.splitlines()[-2:] == [f"20999\t{a}", "# trusted below q^21000"]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("expand", "1/(q^40+q^41)", "--order", "5"), "-40\t1\n-39\t-1\n-38\t1\n"),
+        (("expand", "(q^40+q^41)^-1", "--order", "5"), "-40\t1\n-39\t-1\n-38\t1\n"),
+        (("verify", "1/(q^30*(1+q))", "q^-30/(1+q)", "--order", "3"), "pass  adhoc  order=3\n"),
+    ],
+    ids=["div", "negative-power", "verify"],
+)
+def test_divisor_zero_at_the_working_order_is_retried(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(want)
+
+
+def test_zero_divisor_is_a_one_line_error(capsys):
+    code, out, err = run(capsys, "expand", "1/(q-q)", "--order", "600")
+    assert (code, out) == (2, "")
+    assert err == ("error: NonUnitLeadingCoefficient: cannot invert the zero series"
+                   " (a divisor is zero below q^4696)\n")
+
+
 def test_order_validation(capsys):
     code, _, err = run(capsys, "expand", "q", "--order", "0")
     assert code == 2

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdissect import products
@@ -54,6 +54,26 @@ def test_alpha_slice4_starts_with_zero():
 @given(power_series(), st.integers(1, 8))
 def test_roundtrip(f, m):
     assert recombine(dissect(f, m)) == f.truncate(f.order)
+
+
+def dissect_by_index(f, m):
+    """The per-index loop ``dissect`` replaced: slice l is trusted below
+    ceil((n - l) / m), and empty when l >= n."""
+    n = f.order
+    out = []
+    for l in range(m):
+        sl_order = max((n - l + m - 1) // m, 0)
+        out.append(Series(0, [f.coefficient(m * i + l) for i in range(sl_order)], sl_order))
+    return tuple(out)
+
+
+@given(power_series(), st.integers(1, 30))
+@example(Series.one(3), 7)    # m > n
+@example(Series.zero(2), 5)
+@example(Series.zero(-3), 2)  # a zero series trusted below a negative order
+@example(Series(2, [4], 3), 3)
+def test_dissect_matches_index_loop(f, m):
+    assert dissect(f, m).slices == dissect_by_index(f, m)
 
 
 def test_recombine_unit():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 from qdissect import _kernels, products
 from qdissect.errors import NonUnitLeadingCoefficient, ParseError
 from qdissect.exprlang import (
-    JP, MAX_DEPTH, Add, Div, Evaluator, Func, IntLit, Mul, Neg, Pow, QVar, Sub,
-    Subst, _as_term, evaluate, parse, to_text,
+    JP, MAX_DEPTH, MAX_SLACK, SLACK, Add, Div, Evaluator, Func, IntLit, Mul, Neg, Pow,
+    QVar, Sub, Subst, _as_term, evaluate, parse, to_text,
 )
 from qdissect.products import QProduct
 from qdissect.registry import load_registry
@@ -186,6 +188,33 @@ def test_eval_laurent_and_slack():
     assert s.order >= 30
     t = ev.eval("(1+k-k^2)/k", 30)
     assert s.truncate(30) == t.truncate(30)
+
+
+def test_divisor_zero_at_the_working_order_is_retried_deeper():
+    # each divisor truncates to zero at order + SLACK: only a deeper retry sees it
+    assert 41 > 5 + SLACK and 30 > 3 + SLACK
+    ev = Evaluator()
+    want = Series(-40, [(-1) ** i for i in range(45)], 5)
+    assert ev.eval("1/(q^40+q^41)", 5) == want
+    assert Evaluator().eval("(q^40+q^41)^-1", 5) == want
+    assert ev.eval("1/(q^30*(1+q))", 3) == ev.eval("q^-30/(1+q)", 3)
+
+
+@pytest.mark.parametrize("text", ["1/(q-q)", "(q-q)^-2", "1/0", "1/(G(q)-Gsum(q))"])
+def test_zero_divisor_gives_up_past_max_slack(text):
+    with pytest.raises(NonUnitLeadingCoefficient,
+                       match=rf"^cannot invert the zero series \(a divisor is zero below "
+                             rf"q\^{100 + MAX_SLACK}\)$"):
+        Evaluator().eval(text, 100)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int <-> str digit limit")
+def test_literal_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse("1+" + "7" * 5001)
+    assert exc.value.pos == 2
+    assert "5001 digits" in str(exc.value)
 
 
 def test_eval_exact_content_division():

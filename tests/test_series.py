@@ -298,9 +298,97 @@ def test_div_matches_rational_long_division(ab):
 
 
 def test_first_difference_handles_laurent_and_equal():
+    # the first trusted exponent where two series differ is the valuation of
+    # their difference
     x = Series.make([(-2, 1), (0, 3)], 10)
     y = Series.make([(-2, 1), (0, 4)], 10)
-    assert x.first_difference(y) == 0
+    assert x.sub(y).val == 0
     z = Series.make([(-3, 1)], 10)
-    assert x.first_difference(z) == -3
-    assert x.first_difference(x) is None
+    assert x.sub(z).val == -3
+    assert x.sub(x).is_zero()
+
+
+# -- coefficient windows against the per-index loops they replaced ---------------
+
+def coefficients_by_index(s, lo, hi):
+    return [s.coefficient(n) for n in range(lo, hi)]
+
+
+def add_by_index(a, b):
+    order = min(a.order, b.order)
+    if a.is_zero():
+        return b.truncate(order)
+    if b.is_zero():
+        return a.truncate(order)
+    lo = min(a.val, b.val)
+    hi = min(max(a.val + len(a.coeffs), b.val + len(b.coeffs)), order)
+    out = [0] * max(hi - lo, 0)
+    for s in (a, b):
+        for i, c in enumerate(s.coeffs):
+            e = s.val + i
+            if e < order:
+                out[e - lo] += c
+    return Series(lo, out, order)
+
+
+def first_difference_by_index(a, b):
+    n = min(a.order, b.order)
+    for e in range(min(a.val, b.val, n), n):
+        if a.coefficient(e) != b.coefficient(e):
+            return e
+    return None
+
+
+def substitute_power_by_index(s, m):
+    if m == 1 or s.is_zero():
+        return Series(s.val * m, s.coeffs, s.order * m)
+    out = [0] * ((len(s.coeffs) - 1) * m + 1)
+    for i, c in enumerate(s.coeffs):
+        out[i * m] = c
+    return Series(s.val * m, out, s.order * m)
+
+
+@st.composite
+def truncated_series_st(draw):
+    """Laurent series, zero series among them, whose order may fall below the
+    valuation of another drawn series."""
+    return draw(series_st()).truncate(draw(st.integers(-6, 16)))
+
+
+@given(truncated_series_st(), st.integers(-8, 20), st.integers(-8, 20))
+@example(Series(2, [1, 2], 6), -1, 3)    # lo below the valuation
+@example(Series(2, [1, 2], 6), 0, 6)     # hi past the support
+@example(Series(2, [1, 2], 6), 5, 1)     # lo > hi: empty
+@example(Series(2, [1, 2], 6), 3, 9)     # hi past the order
+@example(Series(2, [1, 2], 6), 7, 9)     # lo past the order
+@example(Series.zero(4), -2, 4)
+@settings(max_examples=400)
+def test_coefficients_matches_index_loop(s, lo, hi):
+    try:
+        want = coefficients_by_index(s, lo, hi)
+    except OrderExceeded as exc:
+        with pytest.raises(OrderExceeded) as got:
+            s.coefficients(lo, hi)
+        assert str(got.value) == str(exc)
+    else:
+        assert s.coefficients(lo, hi) == want
+
+
+@given(truncated_series_st(), truncated_series_st())
+@example(Series(-3, [1, 2], 2), Series(5, [4], 9))     # disjoint supports
+@example(Series.zero(3), Series(-2, [1, 0, 5], 7))
+@example(Series.zero(-2), Series(1, [3], 6))           # order below both valuations
+@example(Series.zero(3), Series.zero(-1))
+@settings(max_examples=400)
+def test_add_and_sub_match_index_loops(a, b):
+    assert a.add(b) == add_by_index(a, b)
+    d = a.sub(b)
+    assert (None if d.is_zero() else d.val) == first_difference_by_index(a, b)
+
+
+@given(truncated_series_st(), st.integers(1, 6))
+@example(Series.zero(4), 3)
+@example(Series.zero(-2), 1)
+@example(Series(-2, [1, 0, 3], 5), 1)
+def test_substitute_power_matches_index_loop(s, m):
+    assert s.substitute_power(m) == substitute_power_by_index(s, m)
