@@ -9,8 +9,9 @@ import argparse
 import json
 import sys
 
-from . import dissection as dissection_mod
-from . import prodmake as prodmake_mod
+# dissection and prodmake are imported by the commands that use them, so
+# that other calls start sooner.  signscan stays here: the traced benchmark
+# (perfbench/spans.py) wraps only modules loaded before it installs.
 from . import registry as registry_mod
 from . import signscan
 from .errors import QSeriesError, UsageError
@@ -41,8 +42,10 @@ def cmd_expand(args):
 
 
 def cmd_dissect(args):
+    from . import dissection
+
     s = Evaluator().eval(args.expr, args.order)
-    d = dissection_mod.dissect(s, args.mod)
+    d = dissection.dissect(s, args.mod)
     wanted = range(args.mod) if args.slice is None else [args.slice]
     payload = {
         "expr": args.expr,
@@ -57,10 +60,12 @@ def cmd_dissect(args):
 
 
 def cmd_prodmake(args):
+    from . import prodmake
+
     s = Evaluator().eval(args.expr, args.order)
-    exps = prodmake_mod.prodmake(s, args.order)
+    exps = prodmake.prodmake(s, args.order)
     if args.period:
-        exps = prodmake_mod.with_period(exps, args.period)
+        exps = prodmake.with_period(exps, args.period)
     payload = {"expr": args.expr, **exps.to_json()}
     lines = [f"{n}\t{a}" for n, a in sorted(exps.exponents.items())]
     pv = exps.period_view

@@ -1,18 +1,14 @@
 """m-dissection of power series into residue-class slices, and back."""
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .errors import NegativeValuation
 from .series import Series
 
 
-@dataclass(frozen=True)
-class Dissection:
+class Dissection(Value):
     """Slices of f mod m: slice l collects the coefficients of q^(m*n+l)."""
 
-    modulus: int
-    slices: tuple
-    source_order: int
+    __slots__ = ("modulus", "slices", "source_order")
 
 
 def dissect(f, m):
@@ -35,39 +31,3 @@ def recombine(d):
     for l, sl in enumerate(d.slices):
         total = total.add(sl.substitute_power(d.modulus).shift(l).truncate(d.source_order))
     return total
-
-
-def residues_present(f, m):
-    """Residue classes mod m that carry a nonzero coefficient."""
-    return sorted({e % m for e, c in f.terms()})
-
-
-def slice_support_check(terms, m, expected=None):
-    """Check that each term lives in a single residue class mod m.
-
-    ``terms`` is a Series or a list of Series; ``expected`` optionally maps
-    term index to the residue it must occupy.  Returns a plain dict report
-    (JSON-ready) rather than raising: violations are data here.
-    """
-    if isinstance(terms, Series):
-        terms = [terms]
-    report = {"modulus": m, "terms": [], "passed": True}
-    for i, t in enumerate(terms):
-        res = residues_present(t, m)
-        entry = {"index": i, "residues": res, "passed": True, "first_violation": None}
-        want = None if expected is None else expected.get(i)
-        if t.is_zero():
-            entry["passed"] = want is None
-        elif len(res) > 1 or (want is not None and res != [want]):
-            entry["passed"] = False
-            bad = [e for e, c in t.terms() if want is not None and e % m != want]
-            if not bad and len(res) > 1:
-                # no expectation given: flag the first exponent off the
-                # dominant (first-seen) residue
-                first = t.terms()[0][0] % m
-                bad = [e for e, c in t.terms() if e % m != first]
-            entry["first_violation"] = bad[0] if bad else None
-        if not entry["passed"]:
-            report["passed"] = False
-        report["terms"].append(entry)
-    return report

@@ -19,10 +19,9 @@ like ``G(q^2)`` is sugar for ``subst(G(q), 2)``.
 """
 
 import re
-from dataclasses import dataclass
-from typing import Optional
 
 from . import products
+from ._value import Value
 from .errors import NonUnitLeadingCoefficient, ParseError
 from .products import PochFactor, QProduct
 from .series import Series
@@ -40,71 +39,54 @@ MAX_SLACK = 4096
 
 # -- AST -------------------------------------------------------------------
 
-# Nodes are frozen, so they hash and compare by value, and slotted: the
-# evaluator cache keys on them and keeps every parsed tree alive with it.
+# Nodes are Values: immutable, so they hash and compare by value, which the
+# evaluator cache keys on, and slotted, because the cache keeps every parsed
+# tree alive.
 
-@dataclass(frozen=True, slots=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True, slots=True)
-class QVar:
-    pass
+class IntLit(Value):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True, slots=True)
-class Func:
-    name: str
-    sign: int = 1  # only phi distinguishes phi(q) from phi(-q)
+class QVar(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Add:
-    left: object
-    right: object
+class Func(Value):
+    __slots__ = ("name", "sign")
+    _defaults = {"sign": 1}  # only phi distinguishes phi(q) from phi(-q)
 
 
-@dataclass(frozen=True, slots=True)
-class Sub:
-    left: object
-    right: object
+class Add(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Mul:
-    left: object
-    right: object
+class Sub(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Div:
-    left: object
-    right: object
+class Mul(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    operand: object
+class Div(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Pow:
-    base: object
-    exponent: int
+class Neg(Value):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True, slots=True)
-class Subst:
-    operand: object
-    power: int
+class Pow(Value):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True, slots=True)
-class JP:
-    numerator: tuple  # of (sign, offset)
-    denominator: tuple
-    base: int
+class Subst(Value):
+    __slots__ = ("operand", "power")
+
+
+class JP(Value):
+    # numerator and denominator are tuples of (sign, offset)
+    __slots__ = ("numerator", "denominator", "base")
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -264,7 +246,7 @@ class _Parser:
         self.expect_op(")")
         if m < 1:
             raise ParseError(pos, "substitution power must be >= 1")
-        node = Func(name, sign) if name == "phi" else Func(name)
+        node = Func(name, sign)
         return (node, 1) if m == 1 else (Subst(node, m), 2)
 
     def q_power_arg(self):
@@ -389,13 +371,6 @@ def to_text(e):
 
 # -- evaluator ----------------------------------------------------------------
 
-# Named series that abbreviate expression text; every one is a term.
-_ABBREVIATIONS = {name: parse(text) for name, text in (
-    ("G", "JP(;q,q^4;q^5)"), ("H", "JP(;q^2,q^3;q^5)"),
-    ("R", "JP(q,q^4;q^2,q^3;q^5)"), ("Rinv", "JP(q^2,q^3;q,q^4;q^5)"),
-    ("k", "q*R(q)*R(q^2)^2"),
-)}
-
 _FUNC_EVAL = {"Gsum": products.G_sum, "Hsum": products.H_sum, "psi": products.psi}
 
 
@@ -404,22 +379,23 @@ def _as_term(e):
     integer, q, JP, G, H, R, Rinv, k, or a Neg, Mul, Subst, Pow or Div of
     such terms; else None.  A divisor, or a base to a negative power, folds
     only when its constant is +-1, so c stays an integer."""
-    if isinstance(e, Func) and e.name in _ABBREVIATIONS:
-        e = _ABBREVIATIONS[e.name]
+    if isinstance(e, Func):
+        return _TERMS.get(e.name)
     if isinstance(e, IntLit):
-        return e.value, 0, QProduct(())
+        return e.value, 0, _ONE
     if isinstance(e, QVar):
-        return 1, 1, QProduct(())
+        return 1, 1, _ONE
     if isinstance(e, JP):
         return 1, 0, QProduct([PochFactor(s, j, e.base, 1) for s, j in e.numerator]
                               + [PochFactor(s, j, e.base, -1) for s, j in e.denominator])
     if isinstance(e, Neg):
-        e = Mul(IntLit(-1), e.operand)
-    elif isinstance(e, Div):
-        e = Mul(e.left, Pow(e.right, -1))
-    if isinstance(e, Mul):
+        t = _as_term(e.operand)
+        return None if t is None else (-t[0], t[1], t[2])
+    if isinstance(e, (Mul, Div)):
         a = _as_term(e.left)
         b = None if a is None else _as_term(e.right)
+        if b is not None and isinstance(e, Div):
+            b = _power(b, -1)
         if b is None:
             return None
         return a[0] * b[0], a[1] + b[1], QProduct(a[2].factors + b[2].factors)
@@ -427,12 +403,31 @@ def _as_term(e):
         t = _as_term(e.operand)
         return None if t is None else (t[0], t[1] * e.power, t[2].transform(subst=e.power))
     if isinstance(e, Pow):
-        t, n = _as_term(e.base), e.exponent
-        if t is None or (n < 0 and t[0] not in (1, -1)):
-            return None
-        # (-1)**-1 is a float; c**|n| equals c**n for c = +-1
-        return t[0] ** abs(n), t[1] * n, t[2].transform(scale=n)
+        t = _as_term(e.base)
+        return None if t is None else _power(t, e.exponent)
     return None
+
+
+def _power(t, n):
+    """The term t to the power n, or None when n < 0 and t's constant is not +-1."""
+    if n < 0 and t[0] not in (1, -1):
+        return None
+    # (-1)**-1 is a float; c**|n| equals c**n for c = +-1
+    return t[0] ** abs(n), t[1] * n, t[2].transform(scale=n)
+
+
+_ONE = QProduct(())
+
+# Named series that abbreviate expression text, folded once into terms
+# (k's text uses R, so R comes first).
+_TERMS = {}
+for _name, _text in (
+    ("G", "JP(;q,q^4;q^5)"), ("H", "JP(;q^2,q^3;q^5)"),
+    ("R", "JP(q,q^4;q^2,q^3;q^5)"), ("Rinv", "JP(q^2,q^3;q,q^4;q^5)"),
+    ("k", "q*R(q)*R(q^2)^2"),
+):
+    _TERMS[_name] = _as_term(parse(_text))
+del _name, _text
 
 
 class _ZeroDivisor(Exception):
@@ -442,9 +437,9 @@ class _ZeroDivisor(Exception):
 class Evaluator:
     """Evaluates ASTs to Series, caching shared subexpressions by node.
 
-    The cache keys on (node, working order).  Nodes are frozen and compare
-    by value, so equal subexpressions, within one text or across texts,
-    share one entry.
+    The cache keys on (node, working order).  Nodes are immutable Values
+    that compare and hash by their fields (``_value.Value``), so equal
+    subexpressions, within one text or across texts, share one entry.
     """
 
     def __init__(self):
@@ -528,6 +523,6 @@ class Evaluator:
         return d
 
 
-def evaluate(e, order, evaluator: Optional[Evaluator] = None):
+def evaluate(e, order, evaluator=None):
     """One-shot evaluation of an AST or source text."""
     return (evaluator or Evaluator()).eval(e, order)

@@ -15,17 +15,15 @@ is 0, the inverse of ``products.product_expand``'s rule that a product in
 q^g expands in q.
 """
 
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Optional
 
+from ._value import Value
 from .errors import NotUnit, OrderExceeded
 from .series import Series
 from .products import _apply_factor
 
 
-@dataclass(frozen=True)
-class PeriodView:
+class PeriodView(Value):
     """Eventually periodic description of product exponents.
 
     ``eta[r]`` is the exponent of (1-q^n) for n = r (mod modulus) and
@@ -35,10 +33,7 @@ class PeriodView:
     modulus that disagree with the pattern are listed separately.
     """
 
-    modulus: int
-    eta: dict
-    eta_plus: dict
-    leading_exceptions: dict
+    __slots__ = ("modulus", "eta", "eta_plus", "leading_exceptions")
 
     def predicted(self, n):
         m = self.modulus
@@ -58,13 +53,11 @@ class PeriodView:
         }
 
 
-@dataclass(frozen=True)
-class EtaExponents:
+class EtaExponents(Value):
     """Product exponents a_n for 1 <= n < order, zeros omitted."""
 
-    exponents: dict
-    order: int
-    period_view: Optional[PeriodView] = field(default=None)
+    __slots__ = ("exponents", "order", "period_view")
+    _defaults = {"period_view": None}
 
     def exponent(self, n):
         return self.exponents.get(n, 0)

@@ -16,12 +16,12 @@ all this and act as oracles for it.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, gcd
 from operator import add, sub
 
 from . import _kernels
+from ._value import Value
 from .series import Series
 
 # Block length of a dividing theta pass: terms with d at least this long
@@ -29,34 +29,33 @@ from .series import Series
 _THETA_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class PochFactor:
+class PochFactor(Value):
     """One factor (sign*q^offset; q^modulus)^power."""
 
-    sign: int
-    offset: int
-    modulus: int
-    power: int = 1
+    __slots__ = ("sign", "offset", "modulus", "power")
+    _defaults = {"power": 1}
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    @staticmethod
+    def _check(sign, offset, modulus, power):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.modulus < 1:
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        if self.offset < 0:
+        if offset < 0:
             raise ValueError("offset must be nonnegative")
-        if self.offset == 0:
+        if offset == 0:
             # (q^0;q^m) vanishes and (-q^0;q^m) has the non-unit constant 2;
             # no valid product needs either, so reject typos loudly.
             raise ValueError("offset 0 would make a zero or non-unit factor")
+        return sign, offset, modulus, power
 
 
-@dataclass(frozen=True)
-class QProduct:
-    factors: tuple
+class QProduct(Value):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+    @staticmethod
+    def _check(factors):
+        return (tuple(factors),)
 
     def transform(self, subst=1, scale=1):
         """The product with q -> q^subst and every power times scale."""
@@ -64,26 +63,6 @@ class QProduct:
             PochFactor(f.sign, f.offset * subst, f.modulus * subst, f.power * scale)
             for f in self.factors
         )
-
-    def exponent_pattern(self, m):
-        """Aggregate factor exponents by residue class mod m.
-
-        Returns (eta, eta_plus): eta[r] is the net power of (1-q^n) over
-        n = r (mod m) coming from plus-sign factors, eta_plus[r] the net
-        power of (1+q^n) from minus-sign factors.  Requires every factor
-        modulus to divide m.
-        """
-        eta = {}
-        plus = {}
-        for f in self.factors:
-            if m % f.modulus:
-                raise ValueError(f"period {m} not a multiple of modulus {f.modulus}")
-            target = eta if f.sign == 1 else plus
-            for r in range(f.offset % f.modulus, m, f.modulus):
-                target[r] = target.get(r, 0) + f.power
-        eta = {r: e for r, e in sorted(eta.items()) if e}
-        plus = {r: e for r, e in sorted(plus.items()) if e}
-        return eta, plus
 
 
 def _apply_factor(c, d, s, e, n):

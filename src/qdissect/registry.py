@@ -7,35 +7,23 @@ proof route for the four 5-dissection theorems step by step.
 """
 
 import json
-from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
-from typing import Optional
+import os
 
+from ._value import Value
 from .errors import QSeriesError, RegistryError
 from .exprlang import Evaluator
 
 PIPELINE_TARGETS = ("alpha", "beta", "gamma", "delta")
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
-    id: str
-    lhs: str
-    rhs: str
-    suggested_order: int
-    note: str
+class IdentityRecord(Value):
+    __slots__ = ("id", "lhs", "rhs", "suggested_order", "note")
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    id: str
-    order: int
-    passed: bool
-    mismatch_exponent: Optional[int] = None
-    lhs_coefficient: Optional[int] = None
-    rhs_coefficient: Optional[int] = None
-    error: Optional[str] = None
+class VerifyReport(Value):
+    __slots__ = ("id", "order", "passed", "mismatch_exponent", "lhs_coefficient",
+                 "rhs_coefficient", "error")
+    _defaults = dict.fromkeys(__slots__[3:])  # the last four default to None
 
     def to_json(self):
         out = {"id": self.id, "order": self.order, "passed": self.passed}
@@ -48,16 +36,11 @@ class VerifyReport:
         return out
 
 
-@dataclass(frozen=True)
-class DissectionSpec:
+class DissectionSpec(Value):
     """Term-by-term structure of one dissection theorem."""
 
-    target: str
-    source: str
-    record: str
-    modulus: int
-    period: int
-    terms: tuple  # of (scale, shift, jp_text)
+    __slots__ = ("target", "source", "record", "modulus", "period",
+                 "terms")  # terms: tuple of (scale, shift, jp_text)
 
 
 class Registry:
@@ -93,11 +76,11 @@ def _typed(obj, kind, *keys):
 
 def load_registry(path=None):
     if path is None:
-        source = resources.files("qdissect.data").joinpath("identities.json")
+        source = os.path.join(os.path.dirname(__file__), "data", "identities.json")
     else:
-        source = Path(path)
+        source = path
     try:
-        with source.open() as fh:
+        with open(source) as fh:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise RegistryError(f"cannot read registry {source}: {exc}") from None

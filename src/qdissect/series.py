@@ -49,28 +49,6 @@ class Series:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def make(cls, coeff_pairs, order):
-        """Build a series from (exponent, coefficient) pairs.
-
-        Exponents must be distinct and below ``order``.
-        """
-        seen = {}
-        for e, c in coeff_pairs:
-            if e in seen:
-                raise ValueError(f"duplicate exponent {e}")
-            if e >= order:
-                raise ValueError(f"exponent {e} not below order {order}")
-            seen[e] = c
-        if not seen:
-            return cls(order, [], order)
-        lo = min(seen)
-        hi = max(seen)
-        coeffs = [0] * (hi - lo + 1)
-        for e, c in seen.items():
-            coeffs[e - lo] = c
-        return cls(lo, coeffs, order)
-
-    @classmethod
     def zero(cls, order):
         return cls(order, [], order)
 

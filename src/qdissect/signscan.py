@@ -8,29 +8,23 @@ Each has a strict sign determined by the index's residue class, with three
 exceptional zeros in total: alpha(4), beta(5), delta(2).
 """
 
-import csv
-from dataclasses import dataclass, field
-
+from ._value import Value
 from .exprlang import Evaluator
 from .registry import load_registry
 
 SERIES_NAMES = ("alpha", "beta", "gamma", "delta")
 
 
-@dataclass(frozen=True)
-class SignRule:
-    modulus: int
-    positive: frozenset
-    negative: frozenset
-    exceptions: frozenset = field(default_factory=frozenset)  # indices forced to 0
+class SignRule(Value):
+    __slots__ = ("modulus", "positive", "negative", "exceptions")  # exceptions: indices forced to 0
+    _defaults = {"exceptions": frozenset()}
 
-    def __post_init__(self):
-        object.__setattr__(self, "positive", frozenset(self.positive))
-        object.__setattr__(self, "negative", frozenset(self.negative))
-        object.__setattr__(self, "exceptions", frozenset(self.exceptions))
-        residues = set(range(self.modulus))
-        if self.positive | self.negative != residues or self.positive & self.negative:
+    @staticmethod
+    def _check(modulus, positive, negative, exceptions):
+        positive, negative = frozenset(positive), frozenset(negative)
+        if positive | negative != set(range(modulus)) or positive & negative:
             raise ValueError("positive/negative residues must partition 0..modulus-1")
+        return modulus, positive, negative, frozenset(exceptions)
 
     def expected(self, n):
         """'zero', 'positive' or 'negative' for index n."""
@@ -65,12 +59,8 @@ def series_for(name, n):
     return Evaluator().eval(load_registry().dissection(name).source, n)
 
 
-@dataclass(frozen=True)
-class Violation:
-    n: int
-    coefficient: int
-    residue: int
-    expected: str
+class Violation(Value):
+    __slots__ = ("n", "coefficient", "residue", "expected")
 
     def to_json(self):
         return {
@@ -81,13 +71,9 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    name: str
-    order: int
-    rule: SignRule
-    violations: tuple
-    zeros: tuple  # all indices with a zero coefficient, exceptional or not
+class ScanReport(Value):
+    # zeros: all indices with a zero coefficient, exceptional or not
+    __slots__ = ("name", "order", "rule", "violations", "zeros")
 
     @property
     def passed(self):
@@ -135,6 +121,8 @@ def scan_rows(report, series):
 
 
 def write_csv(fh, report, series):
+    import csv  # only the --csv report needs it
+
     w = csv.writer(fh)
     w.writerow(["n", "coefficient", "residue", "verdict"])
     for row in scan_rows(report, series):

@@ -12,13 +12,15 @@ import time
 import pytest
 
 from qdissect import products, signscan
-from qdissect.dissection import Dissection, dissect, recombine, slice_support_check
+from qdissect.dissection import Dissection, dissect, recombine
 from qdissect.exprlang import JP, Evaluator, _as_term, parse, to_text
 from qdissect.prodmake import detect_period, prodmake
 from qdissect.registry import (
     IdentityRecord, load_registry, verify, verify_all, verify_proof_pipeline,
 )
 from qdissect.series import Series
+
+from helpers import exponent_pattern, slice_support_check
 
 REG = load_registry()
 TARGETS = ("alpha", "beta", "gamma", "delta")
@@ -113,9 +115,7 @@ def test_criterion_5_prodmake_recovers_the_theorems():
             view = detect_period(exps, spec.period)
             assert view is not None, (target, i)
             assert not view.leading_exceptions, (target, i)
-            eta_want, plus_want = _as_term(parse(jptext))[2].exponent_pattern(
-                spec.period
-            )
+            eta_want, plus_want = exponent_pattern(_as_term(parse(jptext))[2], spec.period)
             assert view.eta == eta_want, (target, i)
             assert view.eta_plus == plus_want, (target, i)
 

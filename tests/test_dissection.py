@@ -3,10 +3,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdissect import products
-from qdissect.dissection import Dissection, dissect, recombine, slice_support_check
+from qdissect.dissection import Dissection, dissect, recombine
 from qdissect.errors import NegativeValuation
 from qdissect.exprlang import Evaluator
 from qdissect.series import Series
+
+from helpers import make_series, slice_support_check
 
 coeffs = st.lists(st.integers(-9, 9), min_size=0, max_size=20)
 
@@ -107,7 +109,7 @@ def test_dissect_scaling_by_series_in_qm(f, g, m):
 
 
 def test_slice_support_check_passes_on_single_residue():
-    t0 = Series.make([(0, 1), (5, -2), (10, 4)], 20)
+    t0 = make_series([(0, 1), (5, -2), (10, 4)], 20)
     report = slice_support_check([t0], 5, {0: 0})
     assert report["passed"]
     assert report["terms"][0]["residues"] == [0]
@@ -119,7 +121,7 @@ def test_slice_support_check_constant_is_residue_zero():
 
 
 def test_slice_support_check_flags_violation():
-    bad = Series.make([(3, 1), (7, 1)], 20)
+    bad = make_series([(3, 1), (7, 1)], 20)
     report = slice_support_check([bad], 5, {0: 3})
     assert not report["passed"]
     assert report["terms"][0]["first_violation"] == 7

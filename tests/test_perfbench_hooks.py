@@ -7,7 +7,11 @@ import inspect
 from pathlib import Path
 
 import qdissect
-import qdissect.cli  # noqa: F401  (the tracer wraps only modules already imported)
+# The tracer wraps only modules already imported, and the CLI imports
+# dissection and prodmake only in the commands that use them.
+import qdissect.cli  # noqa: F401
+import qdissect.dissection  # noqa: F401
+import qdissect.prodmake  # noqa: F401
 from qdissect import products
 from qdissect.exprlang import Evaluator
 from qdissect.series import Series

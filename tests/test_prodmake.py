@@ -9,6 +9,8 @@ from qdissect.products import PochFactor, QProduct
 from qdissect.prodmake import detect_period, expand_exponents, prodmake, with_period
 from qdissect.series import Series
 
+from helpers import exponent_pattern, make_series
+
 
 def naive_product(exponents, n):
     """Oracle: prod (1-q^k)^(a_k) to order n, one index at a time."""
@@ -31,17 +33,17 @@ def test_partition_function_gives_all_minus_one():
 
 
 def test_single_factor():
-    f = Series.make([(0, 1), (1, -1)], 30)
+    f = make_series([(0, 1), (1, -1)], 30)
     assert prodmake(f, 30).exponents == {1: 1}
 
 
 def test_preconditions():
     with pytest.raises(NotUnit):
-        prodmake(Series.make([(0, 2)], 10), 10)
+        prodmake(make_series([(0, 2)], 10), 10)
     with pytest.raises(NotUnit):
-        prodmake(Series.make([(1, 1)], 10), 10)
+        prodmake(make_series([(1, 1)], 10), 10)
     with pytest.raises(NotUnit):
-        prodmake(Series.make([(0, -1)], 10), 10)
+        prodmake(make_series([(0, -1)], 10), 10)
     with pytest.raises(OrderExceeded):
         prodmake(Series.one(10), 20)
 
@@ -190,7 +192,7 @@ def test_detect_period_plus_minus_signature():
     assert view is not None
     assert view.eta == {2: -1} and view.eta_plus == {2: 3}
     assert not view.leading_exceptions
-    eta_expect, plus_expect = p.exponent_pattern(5)
+    eta_expect, plus_expect = exponent_pattern(p, 5)
     assert view.eta == eta_expect and view.eta_plus == plus_expect
 
 
@@ -226,7 +228,7 @@ def test_detect_period_on_pm_theorem_term():
 def test_leading_exceptions_reported():
     # (1-q) times a 3-periodic pattern: n=1 disagrees with the pattern
     base = QProduct((PochFactor(1, 2, 3, -1), PochFactor(1, 3, 3, -1)))
-    f = products.product_expand(base, 40).mul(Series.make([(0, 1), (1, -1)], 40))
+    f = products.product_expand(base, 40).mul(make_series([(0, 1), (1, -1)], 40))
     view = detect_period(prodmake(f.truncate(40), 40), 3)
     assert view is not None
     assert view.leading_exceptions == {1: 1}

@@ -10,6 +10,8 @@ from qdissect.exprlang import evaluate
 from qdissect.products import _THETA_BLOCK, PochFactor, QProduct, _apply_factor, _theta_pass
 from qdissect.series import Series
 
+from helpers import exponent_pattern
+
 G_FACTORS = QProduct((PochFactor(1, 1, 5, -1), PochFactor(1, 4, 5, -1)))
 H_FACTORS = QProduct((PochFactor(1, 2, 5, -1), PochFactor(1, 3, 5, -1)))
 
@@ -224,11 +226,11 @@ def test_all_multiple_of_five_offsets_stay_in_residue_zero():
 
 def test_exponent_pattern():
     p = QProduct((PochFactor(1, 5, 25, 2), PochFactor(-1, 10, 25, -1)))
-    eta, plus = p.exponent_pattern(50)
+    eta, plus = exponent_pattern(p, 50)
     assert eta == {5: 2, 30: 2}
     assert plus == {10: -1, 35: -1}
     with pytest.raises(ValueError):
-        p.exponent_pattern(30)
+        exponent_pattern(p, 30)
 
 
 def theta_series(a, m, n):
