@@ -1,53 +1,18 @@
 """Exact truncated convolution of integer coefficient lists.
 
-Dense operands go through Kronecker substitution: each list is packed into
+Every product goes through Kronecker substitution: each list is packed into
 one big integer, k bits per coefficient, the two integers are multiplied
 once by CPython's Karatsuba, and the k-bit slots of the product are the
 coefficients of the truncated product (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
-44, 2009).  When one operand has only a few nonzero entries (a Pochhammer
-factor, a monomial) a zero-skipping schoolbook loop is cheaper.
+44, 2009).
 """
 
 BACKEND = "python"
 
-# The schoolbook loop is faster while the sparser operand has at most this
-# many nonzero entries.  The measured crossover grows with coefficient size:
-# about 16 nonzeros at 10 bits, 32 at 40 bits and 64 at 120 bits.
-_SCHOOLBOOK_MAX_NONZEROS = 32
-
 
 def conv(a, b, out_len):
-    """Truncated convolution out[n] = sum a[i]*b[n-i], n < out_len."""
-    if out_len <= 0:
-        return []
-    a, b = a[:out_len], b[:out_len]
-    nza = len(a) - a.count(0)
-    nzb = len(b) - b.count(0)
-    if nzb < nza:
-        a, b, nza = b, a, nzb
-    if nza <= _SCHOOLBOOK_MAX_NONZEROS:
-        return _schoolbook(a, b, out_len)
-    return _kronecker(a, b, out_len)
-
-
-def _schoolbook(a, b, out_len):
-    """Zero-skipping loop over the nonzero entries of ``a``."""
-    out = [0] * out_len
-    lb = len(b)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        hi = min(lb, out_len - i)
-        for j in range(hi):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _kronecker(a, b, out_len):
-    """One big-integer product; both operands nonempty and truncated to out_len.
+    """Truncated convolution out[n] = sum a[i]*b[n-i], n < out_len.
 
     Every |out[n]| is below 2**(k-1): it is a sum of at most min(len)
     products, each below 2**(bits(a) + bits(b)).  Slots hold k-bit two's
@@ -55,6 +20,11 @@ def _kronecker(a, b, out_len):
     the slot above, and unpacking adds 2**(k-1) per slot so that no digit
     borrows, then flips those bits back to read signed slots.
     """
+    if out_len <= 0:
+        return []
+    a, b = a[:out_len], b[:out_len]
+    if not a or not b:
+        return [0] * out_len
     bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
     kb = (bits + min(len(a), len(b)).bit_length() + 9) // 8  # bytes per slot
     k = 8 * kb

@@ -100,24 +100,26 @@ def _tokenize(text):
     n = len(text)
     while pos < n:
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:  # the pattern never matches an empty string
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
             raise ParseError(n - len(stripped), f"unexpected character {stripped[0]!r}")
-        if m.group(1):
+        kind = m.lastindex
+        tok, start = m.group(kind), m.start(kind)
+        if kind == 1:
             try:
-                tokens.append(("INT", int(m.group(1)), m.start(1)))
+                tokens.append(("INT", int(tok), start))
             except ValueError:  # int() refuses digits past sys.get_int_max_str_digits()
-                raise ParseError(m.start(1), f"integer literal of {len(m.group(1))} digits "
+                raise ParseError(start, f"integer literal of {len(tok)} digits "
                                  "is past the interpreter's limit") from None
-        elif m.group(2):
-            tokens.append(("NAME", m.group(2), m.start(2)))
+        elif kind == 2:
+            tokens.append(("NAME", tok, start))
         else:
-            tokens.append(("OP", m.group(3), m.start(3)))
-            nesting += (m.group(3) == "(") - (m.group(3) == ")")
+            tokens.append(("OP", tok, start))
+            nesting += (tok == "(") - (tok == ")")
             if nesting > MAX_DEPTH:  # the parser recurses once per bracket
-                raise ParseError(m.start(3), f"brackets nested deeper than {MAX_DEPTH} levels")
+                raise ParseError(start, f"brackets nested deeper than {MAX_DEPTH} levels")
         pos = m.end()
     tokens.append(("END", None, n))
     return tokens

@@ -13,38 +13,34 @@ import operator
 from math import gcd
 
 from . import _kernels
+from ._value import Value
 from .errors import NonUnitLeadingCoefficient, OrderExceeded
 
 
-class Series:
+class Series(Value):
     __slots__ = ("val", "coeffs", "order")
 
-    def __init__(self, val, coeffs, order):
+    @staticmethod
+    def _check(val, coeffs, order):
         # normalize: no leading/trailing zeros, nothing at or past order
         i = 0
         n = len(coeffs)
         while i < n and coeffs[i] == 0:
             i += 1
         if i == n:
-            val, coeffs = order, []
-        else:
-            if val + n > order:
-                n = order - val
-            j = n
-            while j > i and coeffs[j - 1] == 0:
-                j -= 1
-            coeffs = list(coeffs[i:j])
-            val += i
-            if not coeffs:
-                val = order
-        if coeffs and order <= val:
+            return order, [], order
+        if val + n > order:
+            n = order - val
+        j = n
+        while j > i and coeffs[j - 1] == 0:
+            j -= 1
+        coeffs = list(coeffs[i:j])
+        val += i
+        if not coeffs:
+            return order, [], order
+        if order <= val:
             raise ValueError("order must exceed valuation of a nonzero series")
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
+        return val, coeffs, order
 
     # -- constructors -----------------------------------------------------
 
@@ -67,12 +63,7 @@ class Series:
 
     def coefficient(self, n):
         """Exact coefficient of q**n; raises OrderExceeded for n >= order."""
-        if n >= self.order:
-            raise OrderExceeded(f"coefficient {n} beyond trusted order {self.order}")
-        i = n - self.val
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
+        return self.coefficients(n, n + 1)[0]
 
     def coefficients(self, lo, hi):
         """Coefficients of q**lo .. q**(hi-1) as a list, zero-padded outside
@@ -222,15 +213,6 @@ class Series:
         return Series(self.val, self.coeffs[: max(order - self.val, 0)], order)
 
     # -- comparison / presentation -------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return (
-            self.val == other.val
-            and self.coeffs == other.coeffs
-            and self.order == other.order
-        )
 
     def to_json(self):
         return {

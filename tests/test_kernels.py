@@ -15,7 +15,7 @@ def naive_conv(a, b, out_len):
 
 
 # zero-heavy lists of mixed-sign coefficients up to 10^40, of any length up
-# to 80, so that both operands can be dense enough for the Kronecker path
+# to 80: sparse and dense operands, and empty ones
 coefficients = st.integers(0, 80).flatmap(
     lambda n: st.lists(
         st.one_of(st.just(0), st.integers(-(10**40), 10**40)), min_size=n, max_size=n
@@ -25,18 +25,11 @@ coefficients = st.integers(0, 80).flatmap(
 
 @given(coefficients, coefficients, st.integers(0, 180))
 def test_pure_python_matches_naive(a, b, n):
-    # n ranges below and beyond len(a) + len(b) - 1
-    assert _kernels.conv(a, b, n) == naive_conv(a, b, n)
-
-
-@given(coefficients, coefficients, st.integers(1, 180))
-def test_both_paths_match_naive(a, b, n):
-    a, b = a[:n], b[:n]
+    # n ranges below and beyond len(a) + len(b) - 1, so operands longer
+    # than the output are truncated
     expected = naive_conv(a, b, n)
-    assert _kernels._schoolbook(a, b, n) == expected
-    assert _kernels._schoolbook(b, a, n) == expected
-    if a and b:
-        assert _kernels._kronecker(a, b, n) == expected
+    assert _kernels.conv(a, b, n) == expected
+    assert _kernels.conv(b, a, n) == expected
 
 
 @pytest.mark.parametrize("bits", [7, 8, 63, 64, 127])
@@ -46,16 +39,19 @@ def test_slot_boundary(bits):
     for length in (33, 64, 65):
         a = [m] * length
         for b in ([m] * length, [-m] * length, [m if i % 3 else -m for i in range(length)]):
-            expected = naive_conv(a, b, 2 * length)
-            assert _kernels._kronecker(a, b, 2 * length) == expected
-            assert _kernels._schoolbook(a, b, 2 * length) == expected
-            assert _kernels.conv(a, b, 2 * length) == expected
+            # the largest accumulator, at length - 1, in full and truncated products
+            for n in (length, 2 * length - 1, 2 * length):
+                assert _kernels.conv(a, b, n) == naive_conv(a, b, n)
+                assert _kernels.conv(b[:length // 2], a, n) == naive_conv(b[:length // 2], a, n)
 
 
 def test_zero_skipping_paths():
     a = [0, 3, 0, 0, -2, 0]
     b = [0] * 6 + [7]
     assert _kernels.conv(a, b, 14) == naive_conv(a, b, 14)
+    assert _kernels.conv(a, b, 3) == [0] * 3
     assert _kernels.conv(a, [], 5) == [0] * 5
     assert _kernels.conv([], b, 5) == [0] * 5
+    assert _kernels.conv([0, 0], [0, 0, 0], 4) == [0] * 4
     assert _kernels.conv(a, b, 0) == []
+    assert _kernels.conv(a, b, -3) == []

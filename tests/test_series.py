@@ -69,8 +69,11 @@ def test_coefficient_and_order_exceeded():
     assert s.coefficient(1) == 5
     assert s.coefficient(0) == 0
     assert s.coefficient(3) == 0
-    with pytest.raises(OrderExceeded):
+    assert s.coefficient(-7) == 0
+    with pytest.raises(OrderExceeded, match="^coefficient 4 beyond trusted order 4$"):
         s.coefficient(4)
+    with pytest.raises(OrderExceeded, match="^coefficient 9 beyond trusted order 4$"):
+        s.coefficient(9)
 
 
 # -- arithmetic examples -------------------------------------------------------

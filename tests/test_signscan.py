@@ -63,7 +63,7 @@ def test_dissection_sources_need_no_inversion_or_convolution(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Series, "invert", spy("invert", Series.invert))
-    monkeypatch.setattr(_kernels, "_kronecker", spy("kronecker", _kernels._kronecker))
+    monkeypatch.setattr(_kernels, "conv", spy("conv", _kernels.conv))
     sources = [d.source for d in load_registry().dissections.values()]
     assert len(sources) == 4
     for source in sources:

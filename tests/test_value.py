@@ -1,4 +1,4 @@
-"""The value base class that every immutable record and AST node shares."""
+"""The value base class that every immutable series, record and AST node shares."""
 
 import copy
 import os
@@ -32,13 +32,13 @@ EXAMPLES = [
     DissectionSpec("alpha", "k/q", "alpha-5dis", 5, 5, ((1, 0, "JP(;q;q)"),)),
     _VIEW, EtaExponents({1: -1}, 10, _VIEW),
     _RULE, Violation(3, -2, 3, "positive"), ScanReport("gamma", 10, _RULE, (), (7,)),
-    Dissection(2, (Series.one(3), Series.zero(3)), 6),
+    Dissection(2, (Series.one(3), Series.zero(3)), 6), Series.one(3),
 ]
 
 
 def test_every_value_class_has_an_example():
     classes = {type(v) for v in EXAMPLES}
-    assert len(classes) == len(EXAMPLES) == 22
+    assert len(classes) == len(EXAMPLES) == 23
 
 
 @pytest.mark.parametrize("v", EXAMPLES, ids=lambda v: type(v).__name__)
@@ -50,8 +50,7 @@ def test_value_semantics_come_from_the_base(v):
     twin = cls(*(getattr(v, name) for name in cls.__slots__))
     assert twin == v and not twin != v
     assert copy.copy(v) == v
-    if cls is not Dissection:  # its slices are Series, which do not pickle
-        assert pickle.loads(pickle.dumps(v)) == v
+    assert pickle.loads(pickle.dumps(v)) == v
     assert repr(v).startswith(f"{cls.__name__}(")
     if cls.__slots__:
         field = cls.__slots__[0]
@@ -61,6 +60,16 @@ def test_value_semantics_come_from_the_base(v):
             delattr(v, field)
     with pytest.raises(AttributeError):
         v.extra = 1
+
+
+def test_series_copy_and_pickle_but_do_not_hash():
+    s = Series(-3, [10**60, 0, -(7**90), 5], 40)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s
+        assert (twin.val, twin.coeffs, twin.order) == (-3, [10**60, 0, -(7**90), 5], 40)
+    assert copy.deepcopy(s).coeffs is not s.coeffs
+    with pytest.raises(TypeError):
+        hash(s)
 
 
 def test_nodes_are_equal_only_within_one_class():
