@@ -219,7 +219,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_pipeline)
 
     sp = sub.add_parser("signs", help="scan coefficient sign patterns")
-    sp.add_argument("--which", choices=signscan.SERIES_NAMES, required=True)
+    sp.add_argument("--which", choices=registry_mod.PIPELINE_TARGETS, required=True)
     sp.add_argument("--order", type=int, default=1000)
     sp.add_argument("--csv", default=None, help="write per-index rows to a CSV file")
     common(sp)

@@ -6,12 +6,11 @@ Grammar (whitespace-insensitive):
     term   := factor (('*'|'/') factor)*
     factor := atom ['^' ['-'] INT]
     atom   := INT | 'q' | 'k' | call | jp | '(' expr ')'
-    call   := NAME '(' arg ')'            NAME in G H R Rinv Gsum Hsum psi
-            | 'phi' '(' ['-'] arg ')'
+    call   := NAME '(' arg ')'        NAME in {G, H, R, Rinv, Gsum, Hsum, psi, phi}
             | 'subst' '(' expr ',' INT ')'
-    arg    := 'q' ['^' INT] | 'subst' '(' arg ',' INT ')'
-    jp     := 'JP' '(' items ';' items ';' 'q' ['^' INT] ')'
-    items  := [ ['-'] 'q' ['^' INT] (',' ['-'] 'q' ['^' INT])* ]
+    arg    := an expression equal to q^j, j >= 1; also -q^j for phi and JP items
+    jp     := 'JP' '(' [items] ';' [items] ';' arg ')'
+    items  := arg (',' arg)*
 
 ``JP(a1,...;b1,...;q^m)`` is the quotient of Pochhammer products
 (a1,...;q^m)/(b1,...;q^m); ``subst(e, m)`` substitutes q -> q^m, and a call
@@ -223,7 +222,7 @@ class _Parser:
             if val == "k":
                 return Func("k"), 1
             if val == "JP":
-                return self.jp(pos), 1
+                return self.jp(), 1
             if val == "subst":
                 self.expect_op("(")
                 inner, depth = self.expr()
@@ -234,75 +233,45 @@ class _Parser:
                     raise ParseError(pos, "substitution power must be >= 1")
                 return (inner, depth) if m == 1 else (Subst(inner, m), self.deeper(depth, pos))
             if val in _CALL_NAMES:
-                return self.call(val, pos)
+                return self.call(val)
             raise ParseError(pos, f"unknown name {val!r}")
         raise ParseError(pos, "expected an atom")
 
-    def call(self, name, pos):
+    def call(self, name):
         self.expect_op("(")
-        sign = 1
-        if name == "phi" and self.at_op("-"):
-            self.next()
-            sign = -1
-        m = self.q_power_arg()
+        sign, m = self.q_power(signed=name == "phi")
         self.expect_op(")")
-        if m < 1:
-            raise ParseError(pos, "substitution power must be >= 1")
         node = Func(name, sign)
         return (node, 1) if m == 1 else (Subst(node, m), 2)
 
-    def q_power_arg(self):
-        """Argument of a named function: a (possibly substituted) power of q."""
-        kind, val, pos = self.next()
-        if kind == "NAME" and val == "q":
-            if self.at_op("^"):
-                self.next()
-                return self.expect_int()
-            return 1
-        if kind == "NAME" and val == "subst":
-            self.expect_op("(")
-            inner = self.q_power_arg()
-            self.expect_op(",")
-            m = self.expect_int()
-            self.expect_op(")")
-            return inner * m
-        raise ParseError(pos, "function argument must be a power of q")
-
-    def jp(self, pos):
+    def jp(self):
         self.expect_op("(")
         num = self.jp_items()
         self.expect_op(";")
         den = self.jp_items()
         self.expect_op(";")
-        base = self.q_power_arg()
+        _, base = self.q_power()
         self.expect_op(")")
-        if base < 1:
-            raise ParseError(pos, "product base modulus must be >= 1")
-        return JP(tuple(num), tuple(den), base)
+        return JP(num, den, base)
 
     def jp_items(self):
-        items = []
-        if self.at_op(";") or self.at_op(")"):
-            return items
-        while True:
-            sign = 1
-            if self.at_op("-"):
-                self.next()
-                sign = -1
-            kind, val, pos = self.next()
-            if kind != "NAME" or val != "q":
-                raise ParseError(pos, "expected q or -q in product list")
-            j = 1
-            if self.at_op("^"):
-                self.next()
-                j = self.expect_int()
-            if j < 1:
-                raise ParseError(pos, "product offset must be >= 1")
-            items.append((sign, j))
-            if self.at_op(","):
-                self.next()
-                continue
-            return items
+        if self.at_op(";"):
+            return ()
+        items = [self.q_power(signed=True)]
+        while self.at_op(","):
+            self.next()
+            items.append(self.q_power(signed=True))
+        return tuple(items)
+
+    def q_power(self, signed=False):
+        """(sign, j) of an argument: an expression that folds (``_as_term``)
+        to q^j with j >= 1, or, where ``signed``, to -q^j."""
+        pos = self.peek()[2]
+        t = _as_term(self.expr()[0])
+        if t is None or t[2].factors or t[1] < 1 or t[0] not in ((1, -1) if signed else (1,)):
+            raise ParseError(pos, "argument must equal q^j with j >= 1 "
+                             "(or -q^j for phi and JP items)")
+        return t[0], t[1]
 
 
 def parse(text):

@@ -12,8 +12,6 @@ from ._value import Value
 from .exprlang import Evaluator
 from .registry import load_registry
 
-SERIES_NAMES = ("alpha", "beta", "gamma", "delta")
-
 
 class SignRule(Value):
     __slots__ = ("modulus", "positive", "negative", "exceptions")  # exceptions: indices forced to 0

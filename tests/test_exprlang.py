@@ -65,6 +65,51 @@ def test_parse_errors_carry_offsets():
         parse("2 @ 3")
 
 
+def q_power_args():
+    """(text, j) for argument texts of the grammar's old argument rule, which
+    read only q, q^j and subst(arg, m): the text equals q^j."""
+    return st.recursive(
+        st.one_of(st.just(("q", 1)), st.integers(1, 40).map(lambda j: (f"q^{j}", j))),
+        lambda inner: st.builds(lambda a, m: (f"subst({a[0]}, {m})", a[1] * m),
+                                inner, st.integers(1, 6)),
+        max_leaves=4,
+    )
+
+
+def called(name, sign, j):
+    node = Func(name, sign)
+    return node if j == 1 else Subst(node, j)
+
+
+@given(q_power_args(), st.sampled_from([1, -1]),
+       st.sampled_from(["G", "H", "R", "Rinv", "Gsum", "Hsum", "psi"]))
+def test_every_argument_is_one_signed_power_of_q(arg, sign, name):
+    text, j = arg
+    signed = text if sign == 1 else "-" + text
+    assert parse(f"{name}({text})") == called(name, 1, j)
+    assert parse(f"phi({signed})") == called("phi", sign, j)
+    assert parse(f"JP({signed},q;;{text})") == JP(((sign, j), (1, 1)), (), j)
+    assert parse(f"JP(;q^2,{signed};q^3)") == JP((), ((1, 2), (sign, j)), 3)
+
+
+def test_arguments_are_expressions_folded_to_a_power_of_q():
+    assert parse("G(q*q)") == parse("G(q^2)") == parse("G((q^2))")
+    assert parse("JP(subst(q,2);;q^5)") == parse("JP(q^2;;q^5)")
+    assert parse("phi(-subst(q,3))") == Subst(Func("phi", -1), 3)
+    assert parse("JP(q^2/q;-(q*q);q^10/q^5)") == JP(((1, 1),), ((-1, 2),), 5)
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("G(-q)", 2), ("G(1+q)", 2), ("G(q^0)", 2), ("G(k)", 2), ("G(q^-1)", 2),
+    ("G(2*q)", 2), ("phi(-2*q)", 4), ("G(R(q)/R(q))", 2),
+    ("JP(q^0;;q^5)", 3), ("JP(;;q^0)", 5), ("JP(q;;-q^5)", 6), ("JP(q,k;;q^5)", 5),
+])
+def test_argument_that_is_not_a_power_of_q_is_one_error_at_its_offset(text, pos):
+    with pytest.raises(ParseError, match=r"^argument must equal q\^j with j >= 1 ") as exc:
+        parse(text)
+    assert exc.value.pos == pos
+
+
 def test_depth_limit_is_exact():
     n = MAX_DEPTH
     assert parse("(" * n + "q" + ")" * n) == QVar()

@@ -1,10 +1,10 @@
 import pytest
 
-from qdissect import _kernels, products, signscan
+from qdissect import _kernels, products
 from qdissect.dissection import dissect
 from qdissect.exprlang import Evaluator
 from qdissect.prodmake import expand_exponents
-from qdissect.registry import load_registry
+from qdissect.registry import PIPELINE_TARGETS, load_registry
 from qdissect.series import Series
 from qdissect.signscan import DEFAULT_RULES, SignRule, scan, scan_rows, series_for
 
@@ -74,7 +74,7 @@ def test_dissection_sources_need_no_inversion_or_convolution(monkeypatch):
 @pytest.mark.slow
 def test_sign_patterns_to_ten_thousand():
     n = 10_000
-    reports = {name: scan(name, n=n) for name in signscan.SERIES_NAMES}
+    reports = {name: scan(name, n=n) for name in PIPELINE_TARGETS}
     assert all(r.passed for r in reports.values()), {k: r.violations[:3] for k, r in reports.items()}
     zeros = {name: r.zeros for name, r in reports.items()}
     assert zeros == {"alpha": (4,), "beta": (5,), "gamma": (), "delta": (2,)}
@@ -88,7 +88,7 @@ def test_first_values():
 
 
 def test_scans_pass_at_small_order():
-    for name in signscan.SERIES_NAMES:
+    for name in PIPELINE_TARGETS:
         report = scan(name, n=200)
         assert report.passed, (name, report.violations[:3])
     assert scan("alpha", n=200).zeros == (4,)
@@ -132,7 +132,7 @@ def test_slice_signs_match_dissection_prefactors():
     # gamma's prefactors are +, -, +, -, + and delta's carry the single
     # exceptional zero at n=2
     n = 300
-    for name in signscan.SERIES_NAMES:
+    for name in PIPELINE_TARGETS:
         rule = DEFAULT_RULES[name]
         d = dissect(series_for(name, n), 5)
         for l in range(5):
