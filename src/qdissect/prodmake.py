@@ -63,16 +63,13 @@ class EtaExponents(Value):
         return self.exponents.get(n, 0)
 
     def to_json(self):
+        pattern = self.period_view.to_json() if self.period_view else None
         return {
             "exponents": {str(n): a for n, a in sorted(self.exponents.items())},
             "order": self.order,
             "period": self.period_view.modulus if self.period_view else None,
-            "residue_pattern": self.period_view.to_json() if self.period_view else None,
-            "leading_exceptions": (
-                self.period_view.to_json()["leading_exceptions"]
-                if self.period_view
-                else None
-            ),
+            "residue_pattern": pattern,
+            "leading_exceptions": pattern["leading_exceptions"] if pattern else None,
         }
 
 
@@ -112,66 +109,41 @@ def prodmake(f, n):
 
 
 def detect_period(e, m):
-    """Look for an m-periodic pattern in product exponents.
+    """Look for an eventually m-periodic pattern in product exponents.
 
-    Returns a PeriodView or None.  For odd m, exponents that are only
-    2m-periodic are additionally tried against the (1+q^n) signature left
-    by negative-argument factors; the decomposition is solved exactly and
-    verified before being reported.
+    Returns a PeriodView or None.  The pattern is read from the exponents
+    a_k with k >= m, which must reach k = 3m.  For odd m with exponents to
+    6m the read also splits off the (1+q^n) part that negative-argument
+    factors leave, a_k = c_(k mod m) - d_(k mod m) + [k even] d_(k/2 mod m),
+    solved from one k of each residue mod 2m in m <= k < 3m; otherwise d
+    is 0 and c is read from m <= k < 2m.  The view is reported only if its
+    ``predicted`` reproduces every a_k from k = m on.  The a_k below m that
+    it misses are listed as leading exceptions.
     """
+    if m < 1:
+        raise ValueError("period must be >= 1")
     n = e.order
     if n < 3 * m:
         raise OrderExceeded(f"period {m} needs exponents to at least 3*{m}, have {n}")
-
-    def fit(period):
-        pat = {}
-        for k in range(m, n):
-            r = k % period
-            a = e.exponent(k)
-            if r in pat:
-                if pat[r] != a:
-                    return None
-            else:
-                pat[r] = a
-        if len(pat) < period:
-            return None
-        return pat
-
-    view = None
-    pat = fit(m)
-    if pat is not None:
-        view = PeriodView(m, {r: a for r, a in pat.items() if a}, {}, {})
-    elif m % 2 == 1 and n >= 6 * m:
-        pat2 = fit(2 * m)
-        if pat2 is not None:
-            # split a_n = c_(n mod m) - d_(n mod m) + [n even] d_(n/2 mod m)
-            d = {}
-            for r in range(m):
-                odd = r if r % 2 else r + m
-                even = r + m if r % 2 else r
-                d[(even // 2) % m] = pat2[even] - pat2[odd]
-            c = {r: pat2[r if r % 2 else r + m] + d[r] for r in range(m)}
-            ok = all(
-                pat2[s]
-                == c[s % m] - d[s % m] + (d[(s // 2) % m] if s % 2 == 0 else 0)
-                for s in range(2 * m)
-            )
-            if ok:
-                view = PeriodView(
-                    m,
-                    {r: a for r, a in c.items() if a},
-                    {r: a for r, a in d.items() if a},
-                    {},
-                )
-    if view is None:
+    a = e.exponent
+    if m % 2 and n >= 6 * m:
+        odd = {k % m: a(k) for k in range(m, 3 * m, 2)}  # a_k = c_r - d_r
+        d = {(k // 2) % m: a(k) - odd[k % m] for k in range(m + 1, 3 * m, 2)}
+        c = {r: odd[r] + d[r] for r in range(m)}
+    else:
+        c, d = {k % m: a(k) for k in range(m, 2 * m)}, {}
+    exceptions = {}  # filled in once the view is accepted
+    view = PeriodView(
+        m,
+        {r: x for r, x in c.items() if x},
+        {r: x for r, x in d.items() if x},
+        exceptions,
+    )
+    # predicted is 2m-periodic: one period of it checks every k
+    table = [view.predicted(k) for k in range(2 * m)]
+    if any(a(k) != table[k % (2 * m)] for k in range(m, n)):
         return None
-    exceptions = {}
-    for k in range(1, min(m, n)):
-        a = e.exponent(k)
-        if a != view.predicted(k):
-            exceptions[k] = a
-    if exceptions:
-        view = PeriodView(m, view.eta, view.eta_plus, exceptions)
+    exceptions.update((k, a(k)) for k in range(1, m) if a(k) != table[k])
     return view
 
 

@@ -63,6 +63,29 @@ def test_prodmake_with_period(capsys):
     assert data["residue_pattern"]["eta"] == {"1": -1, "4": -1}
 
 
+@pytest.mark.parametrize(
+    "expr, order, period, tail",
+    [
+        # (-q^2;q^5)^3 / (q^2;q^5): the (1+q^n) split
+        ("JP(-q^2,-q^2,-q^2;q^2;q^5)", "60", "5",
+         ["# pattern mod 5:",
+          "#   (1-q^n)^-1 for n = 2 (mod 5)",
+          "#   (1+q^n)^3 for n = 2 (mod 5)"]),
+        ("(1-q)*JP(;q^2,q^3;q^3)", "40", "3",
+         ["# pattern mod 3:",
+          "#   (1-q^n)^-1 for n = 0 (mod 3)",
+          "#   (1-q^n)^-1 for n = 2 (mod 3)",
+          "#   leading exceptions: {1: 1}"]),
+        ("1+q+q^2", "9", "3", ["# no period-3 pattern"]),
+    ],
+    ids=["plus-split", "leading-exception", "no-pattern"],
+)
+def test_prodmake_period_text(capsys, expr, order, period, tail):
+    code, out, _ = run(capsys, "prodmake", expr, "--order", order, "--period", period)
+    assert code == 0
+    assert out.splitlines()[-len(tail):] == tail
+
+
 def test_verify_by_id_and_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--id", "gh-cross-sum", "--order", "60")
     assert code == 0 and "pass" in out

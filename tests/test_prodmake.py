@@ -1,12 +1,19 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdissect import products
 from qdissect.errors import NotUnit, OrderExceeded
 from qdissect.exprlang import Evaluator
 from qdissect.products import PochFactor, QProduct
-from qdissect.prodmake import detect_period, expand_exponents, prodmake, with_period
+from qdissect.prodmake import (
+    EtaExponents,
+    PeriodView,
+    detect_period,
+    expand_exponents,
+    prodmake,
+    with_period,
+)
 from qdissect.series import Series
 
 from helpers import exponent_pattern, make_series
@@ -241,3 +248,79 @@ def test_to_json_shape():
     assert j["period"] == 1
     assert j["residue_pattern"]["eta"] == {"0": -1}
     assert j["exponents"]["7"] == -1
+
+
+def pattern_exponents(c, d, n):
+    """a_k = c_(k mod m) - d_(k mod m) + [k even] d_(k/2 mod m) for 1 <= k < n."""
+    m = len(c)
+    return {
+        k: c[k % m] - d[k % m] + (d[k // 2 % m] if k % 2 == 0 else 0)
+        for k in range(1, n)
+    }
+
+
+def table(exponents, n):
+    return EtaExponents({k: a for k, a in exponents.items() if a}, n)
+
+
+@st.composite
+def periodic_exponents(draw):
+    """(m, n, exponents, expected view): a drawn pattern, with changes below m."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(3 * m, 8 * m + 3))
+    entries = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    c = draw(entries)
+    # the (1+q^n) part is read only for odd m with exponents to 6m
+    d = draw(entries) if m % 2 and n >= 6 * m else [0] * m
+    exps = pattern_exponents(c, d, n)
+    deltas = draw(st.lists(st.integers(-2, 2), min_size=m - 1, max_size=m - 1))
+    exceptions = {}
+    for k, delta in enumerate(deltas, 1):
+        if delta:
+            exps[k] += delta
+            exceptions[k] = exps[k]
+    view = PeriodView(
+        m,
+        {r: x for r, x in enumerate(c) if x},
+        {r: x for r, x in enumerate(d) if x},
+        exceptions,
+    )
+    return m, n, exps, view
+
+
+@given(periodic_exponents(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_detect_period_reads_back_a_drawn_pattern(case, data):
+    m, n, exps, view = case
+    assert detect_period(table(exps, n), m) == view
+    # one change from k = m on breaks the pattern
+    k = data.draw(st.integers(m, n - 1))
+    exps[k] += data.draw(st.sampled_from([-1, 1]))
+    assert detect_period(table(exps, n), m) is None
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda h: st.tuples(
+            st.lists(st.integers(-3, 3), min_size=2 * h, max_size=2 * h),
+            st.lists(st.integers(-3, 3), min_size=2 * h, max_size=2 * h),
+            st.integers(6 * h, 16 * h + 3),
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_detect_period_refuses_a_plus_part_for_even_period(case):
+    # for even m a (1+q^n) part whose d is m/2-periodic is itself an
+    # m-periodic eta pattern; any other d leaves the exponents only 2m-periodic
+    c, d, n = case
+    h = len(c) // 2
+    assume(d[:h] != d[h:])
+    assert detect_period(table(pattern_exponents(c, d, n), n), 2 * h) is None
+
+
+@pytest.mark.parametrize("m", [0, -2])
+def test_period_below_one_is_refused(m):
+    e = prodmake(products.poch_expand(PochFactor(1, 1, 1, -1), 30), 30)
+    for call in (detect_period, with_period):
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            call(e, m)
