@@ -4,7 +4,8 @@ A subclass names its fields in ``__slots__``, a tuple in constructor order,
 and may give defaults for trailing ones in ``_defaults``.  Instances are
 built positionally or by keyword, compare equal when they are of the same
 class with equal fields, hash as their fields do, refuse assignment and
-print as ``Name(field=value, ...)``.
+print as ``Name(field=value, ...)``.  The hash is computed once per
+instance.
 
 A class whose fields need validating or normalising defines ``_check``, a
 static method that takes the field values in order and returns the values
@@ -19,7 +20,9 @@ from operator import attrgetter
 
 
 class Value:
-    __slots__ = ()
+    # the hash, computed on first use: a tree of Values (the AST) would
+    # otherwise rehash every subtree at each level that hashes its parent
+    __slots__ = ("_hash",)
     _defaults = {}
     _check = None
 
@@ -68,7 +71,12 @@ class Value:
         return self._key(self) == other._key(other)
 
     def __hash__(self):
-        return hash(self._key(self))
+        try:
+            return self._hash
+        except AttributeError:  # not hashed yet (a Series never is: its list refuses)
+            h = hash(self._key(self))
+            _set_hash(self, h)
+            return h
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -82,3 +90,6 @@ class Value:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+_set_hash = Value._hash.__set__

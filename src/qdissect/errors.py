@@ -25,6 +25,11 @@ class NotUnit(QSeriesError):
     """Product recovery needs valuation 0 and leading coefficient +1."""
 
 
+class BudgetExceeded(QSeriesError):
+    """An input needs more than a fixed bound of the engine allows, found
+    before the work starts."""
+
+
 class RegistryError(QSeriesError):
     """The registry file cannot be read, is not JSON, or breaks the schema."""
 

@@ -18,10 +18,11 @@ like ``G(q^2)`` is sugar for ``subst(G(q), 2)``.
 """
 
 import re
+from functools import lru_cache
 
 from . import products
 from ._value import Value
-from .errors import NonUnitLeadingCoefficient, ParseError
+from .errors import BudgetExceeded, NonUnitLeadingCoefficient, ParseError
 from .products import PochFactor, QProduct
 from .series import Series
 
@@ -29,6 +30,10 @@ _CALL_NAMES = ("G", "H", "R", "Rinv", "Gsum", "Hsum", "psi", "phi")
 
 # Deepest AST and bracket nesting ``parse`` accepts (the registry needs 15).
 MAX_DEPTH = 100
+
+# Widest integer constant, in bits, that a power in a term may produce
+# (2^20000 needs 20001); a wider one is refused before it is computed.
+MAX_CONSTANT_BITS = 1 << 20
 
 # ``Evaluator.eval`` works this many exponents past the requested order, and
 # looks at most MAX_SLACK past it for a divisor that is not zero there.
@@ -220,7 +225,7 @@ class _Parser:
             if val == "q":
                 return QVar(), 1
             if val == "k":
-                return Func("k"), 1
+                return _call("k", 1, 1)
             if val == "JP":
                 return self.jp(), 1
             if val == "subst":
@@ -241,8 +246,7 @@ class _Parser:
         self.expect_op("(")
         sign, m = self.q_power(signed=name == "phi")
         self.expect_op(")")
-        node = Func(name, sign)
-        return (node, 1) if m == 1 else (Subst(node, m), 2)
+        return _call(name, sign, m)
 
     def jp(self):
         self.expect_op("(")
@@ -272,6 +276,14 @@ class _Parser:
             raise ParseError(pos, "argument must equal q^j with j >= 1 "
                              "(or -q^j for phi and JP items)")
         return t[0], t[1]
+
+
+@lru_cache(maxsize=256)
+def _call(name, sign, m):
+    """(node, depth) of ``name(sign*q^m)``: one node per call, which the
+    trees of every text share, so it is stored and hashed once."""
+    node = Func(name, sign)
+    return (node, 1) if m == 1 else (Subst(node, m), 2)
 
 
 def parse(text):
@@ -380,9 +392,13 @@ def _as_term(e):
 
 
 def _power(t, n):
-    """The term t to the power n, or None when n < 0 and t's constant is not +-1."""
+    """The term t to the power n, or None when n < 0 and t's constant is not
+    +-1; BudgetExceeded when the constant would pass MAX_CONSTANT_BITS."""
     if n < 0 and t[0] not in (1, -1):
         return None
+    if abs(t[0]) > 1 and t[0].bit_length() * abs(n) > MAX_CONSTANT_BITS:
+        raise BudgetExceeded(f"a constant power of about {t[0].bit_length() * abs(n)} bits "
+                             f"is past the limit of {MAX_CONSTANT_BITS} bits")
     # (-1)**-1 is a float; c**|n| equals c**n for c = +-1
     return t[0] ** abs(n), t[1] * n, t[2].transform(scale=n)
 
@@ -411,10 +427,14 @@ class Evaluator:
     The cache keys on (node, working order).  Nodes are immutable Values
     that compare and hash by their fields (``_value.Value``), so equal
     subexpressions, within one text or across texts, share one entry.
+    A second dict holds the short sub-products on coarser grids that
+    expansions run first (``products.product_expand``), so a part that the
+    terms of one text, or several texts, share expands once.
     """
 
     def __init__(self):
         self._cache = {}
+        self._products = {}
 
     def eval(self, e, order):
         """Series of e trusted below ``order`` exactly.
@@ -459,7 +479,7 @@ class Evaluator:
             c, k, p = t
             if c == 0 or k >= m:
                 return Series.zero(m)
-            s = products.product_expand(p, m - k)
+            s = products.product_expand(p, m - k, self._products)
             return s if c == 1 and k == 0 else s.shift(k).scalar_mul(c)
         if isinstance(e, Func):
             if e.name == "phi":

@@ -1,18 +1,31 @@
 """Expansion of q-Pochhammer products and the named series built from them.
 
 A ``QProduct`` is a finite list of factors (s*q^j; q^m)^e with s = +-1.
-``product_expand`` rewrites it into Jacobi-triple-product theta series
-(Garvan 1999, "A q-product tutorial for a q-series MAPLE package";
-Hirschhorn 2017, "The Power of q"): each has O(sqrt(N/m)) terms below q^N,
-so multiplying or dividing by it is one O(N*sqrt(N/m)) pass, made of
-list-slice updates (``_theta_pass``).  Unpaired factors keep dense
-O(N^2/m) passes, one O(N) pass of slice updates per linear factor
-(``_apply_factor``).  The evaluator folds every term c*q^k*(products and
-quotients of products) into one ``QProduct`` (``exprlang._as_term``), so a
-series such as 1/(R(q)*R(q^2)^2), or k = q*R(q)*R(q^2)^2, is one
-expansion, shifted and scaled, with no convolution or Newton step.
-The sum sides (``G_sum``, ``H_sum``, ``phi``, ``psi``) are independent of
-all this and act as oracles for it.
+``product_expand`` plans it (``_plan``) as passes over one coefficient
+list: Jacobi-triple-product theta series (Garvan 1999, "A q-product
+tutorial for a q-series MAPLE package"; Hirschhorn 2017, "The Power of
+q"), each with O(sqrt(N/m)) terms below q^N, so that multiplying or
+dividing by one is an O(N*sqrt(N/m)) pass of list-slice updates
+(``_theta_pass``), and, for unpaired factors, one O(N) dense pass per
+linear factor (``_apply_factor``).
+
+Each part runs on its coarsest grid (``_run``).  A pass whose offset and
+modulus are multiples of h lies on q^h.  The passes on the grid that saves
+the most pass length run first, as one sub-product in q^h at length
+ceil(N/h), spread onto every h-th coefficient; the other passes run on
+the result.  Sub-products choose their grids the same way, so grids nest:
+in G(q)*G(q^2)^2, (q^5;q^5)*(q^10;q^10)^2 runs at a fifth of the length
+and its (q^10;q^10)^2 at a tenth.  A product on q^g as a whole is one
+sub-product with no passes beside it.  A memo dict that the caller keeps
+(``exprlang.Evaluator`` does) shares short sub-products between products,
+such as that (q^5;q^5)*(q^10;q^10)^2, which H(q)*G(q^2)^2 has too.
+
+The evaluator folds every term c*q^k*(products and quotients of products)
+into one ``QProduct`` (``exprlang._as_term``), so a series such as
+1/(R(q)*R(q^2)^2), or k = q*R(q)*R(q^2)^2, is one expansion, shifted and
+scaled, with no convolution or Newton step.  The sum sides (``G_sum``,
+``H_sum``, ``phi``, ``psi``) are independent of all this and act as
+oracles for it.
 """
 
 from collections import Counter
@@ -27,6 +40,14 @@ from .series import Series
 # Block length of a dividing theta pass: terms with d at least this long
 # read only finished values and become one slice update per block.
 _THETA_BLOCK = 64
+# Block length of a multiplying theta pass, which runs from the top block
+# down, so it holds one block of new values beside c, not a copy of c.
+_MUL_BLOCK = 512
+
+# A memo of ``product_expand`` keeps at most _MEMO_MAX sub-products, each
+# at most _MEMO_LEN long: most reuse is of short ones, soon after storing.
+_MEMO_MAX = 16
+_MEMO_LEN = 256
 
 
 class PochFactor(Value):
@@ -104,40 +125,71 @@ def _apply_factor(c, d, s, e, n):
     c[:] = _kernels.conv(c, fc, n)
 
 
+# (a, m) -> (n, terms, k): the terms (d, sign) of theta(a, m) with 0 < d < n,
+# ascending, the first k of them below _THETA_BLOCK; emptied when it
+# reaches _THETA_TERMS_MAX keys.
+_THETA_TERMS = {}
+_THETA_TERMS_MAX = 256
+
+
+def _theta_terms(a, m, n):
+    """(terms, k) of theta(a, m), with every term below q^n and maybe more."""
+    hit = _THETA_TERMS.get((a, m))
+    if hit is None or hit[0] < n:
+        terms = []
+        for step in (1, -1):
+            k = step
+            while (d := m * k * (k - 1) // 2 + a * k) < n:
+                terms.append((d, -1 if k % 2 else 1))
+                k += step
+        terms.sort()
+        if len(_THETA_TERMS) >= _THETA_TERMS_MAX:
+            _THETA_TERMS.clear()
+        hit = _THETA_TERMS[a, m] = (n, terms, sum(d < _THETA_BLOCK for d, _ in terms))
+    return hit[1:]
+
+
 def _theta_pass(c, a, m, divide):
     """Multiply (or divide: the unit-constant recurrence) c in place by
     theta(a, m) = sum_k (-1)^k q^(m*k*(k-1)/2 + a*k), 0 < a < m, which is
     (q^a;q^m)(q^(m-a);q^m)(q^m;q^m) by the Jacobi triple product.
 
-    Multiplying adds each term's shifted copy of the input as one slice
-    update.  Dividing runs over blocks of _THETA_BLOCK indices: a term with
-    d >= _THETA_BLOCK reads only finished values, so it is one slice update
-    per block, and the recurrence runs over the few shorter terms alone.
+    Multiplying adds each term's shifted copy of the input, one slice update
+    per block of _MUL_BLOCK indices, from the top block down.  Dividing runs
+    over blocks of _THETA_BLOCK indices: a term with d >= _THETA_BLOCK reads
+    only finished values, so it is one slice update per block, and the
+    recurrence runs over the few shorter terms alone.  The term lists are
+    built once per (a, m) (``_theta_terms``).
     """
     n = len(c)
-    terms = []  # (d, sign) for 0 < d < n, ascending
-    for step in (1, -1):
-        k = step
-        while (d := m * k * (k - 1) // 2 + a * k) < n:
-            terms.append((d, -1 if k % 2 else 1))
-            k += step
-    terms.sort()
+    terms, k = _theta_terms(a, m, n)
     if not divide:
-        src = c[:]
-        for d, s in terms:
-            c[d:] = map(add if s > 0 else sub, c[d:], src)
+        # top block first: each reads only the values below it, which are
+        # still the input, so no copy of c and one block of new values
+        for hi in range(n, 0, -_MUL_BLOCK):
+            lo = max(hi - _MUL_BLOCK, 0)
+            block = c[lo:hi]
+            for d, s in terms:
+                if d >= hi:
+                    break
+                start = max(lo, d)
+                block[start - lo:] = map(add if s > 0 else sub, block[start - lo:],
+                                         c[start - d:hi - d])
+            c[lo:hi] = block
         return
-    near = [(d, s) for d, s in terms if d < _THETA_BLOCK]
-    far = [(d, sub if s > 0 else add) for d, s in terms if d >= _THETA_BLOCK]
-    for lo in range(0, n, _THETA_BLOCK):
+    near, far = terms[:k], terms[k:]
+    # the first block: no far term reaches it, and a near term only from i = d
+    for i in range(1, min(_THETA_BLOCK, n)):
+        c[i] -= sum([s * c[i - d] for d, s in near if d <= i])
+    for lo in range(_THETA_BLOCK, n, _THETA_BLOCK):
         hi = min(lo + _THETA_BLOCK, n)
-        for d, op in far:
+        for d, s in far:
             if d >= hi:
                 break
             start = max(lo, d)
-            c[start:hi] = map(op, c[start:hi], c[start - d:hi - d])
+            c[start:hi] = map(sub if s > 0 else add, c[start:hi], c[start - d:hi - d])
         for i in range(lo, hi):
-            c[i] -= sum([s * c[i - d] for d, s in near if d <= i])
+            c[i] -= sum([s * c[i - d] for d, s in near])
 
 
 def poch_expand(f, n):
@@ -145,21 +197,18 @@ def poch_expand(f, n):
     return product_expand(QProduct((f,)), n)
 
 
-def product_expand(p, n):
-    """Expansion of a QProduct to order n (empty product gives 1).
+def _plan(p):
+    """The passes of p's normal form, in the order they run.
 
-    Normal form: (-x;q^m) = (x^2;q^2m)/(x;q^m); (q^m;q^m) = theta(m, 3m)
-    (Euler); (q^a;q^2a) = (q^a;q^a)/(q^2a;q^2a); a pair (q^a, q^(m-a); q^m)
-    gives its common power of theta(a, m)/(q^m;q^m).  A product in q^g
-    expands in q.
+    A pass (a, m, e, False) multiplies by (q^a;q^m)^e, one dense pass per
+    linear factor; (a, m, e, True) multiplies by theta(a, m)^e, |e| theta
+    passes.  Dense passes come first, then theta passes by falling e:
+    multiplying first keeps the intermediate coefficients small.  Equal
+    products give equal plans, which the sub-product memo keys on.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    # the empty product is one in q^n, so 1 costs one coefficient, whatever n
-    g = gcd(*(x for f in p.factors for x in (f.offset, f.modulus))) or n
     plus = Counter()  # (a, m) -> net power of (q^a;q^m)
     for f in p.factors:
-        a, m = f.offset // g, f.modulus // g
+        a, m = f.offset, f.modulus
         if f.sign < 0:
             plus[2 * a, 2 * m] += f.power
         plus[a, m] += f.sign * f.power
@@ -176,16 +225,96 @@ def product_expand(p, n):
         theta[m, 3 * m] -= common
         plus[m - a, m] -= common
         if e != common:
-            dense.append((a, m, e - common))
-    c = [1] + [0] * (-(-n // g) - 1)
-    for a, m, e in dense:
-        for d in range(a, len(c), m):
-            _apply_factor(c, d, 1, e, len(c))
-    # multiplying first keeps the intermediate coefficients small
-    for (a, m), e in sorted(theta.items(), key=lambda item: -item[1]):
-        for _ in range(abs(e)):
-            _theta_pass(c, a, m, e < 0)
-    return Series(0, c, len(c)).substitute_power(g).truncate(n)
+            dense.append((a, m, e - common, False))
+    thetas = sorted(((a, m, e, True) for (a, m), e in theta.items() if e),
+                    key=lambda x: (-x[2], x[0], x[1]))
+    return tuple(dense) + tuple(thetas)
+
+
+def _primes(x):
+    """The prime factors of x >= 1."""
+    ps, p = set(), 2
+    while p * p <= x:
+        while x % p == 0:
+            ps.add(p)
+            x //= p
+        p += 1
+    return ps | {x} - {1}
+
+
+def _grid(weights, n):
+    """The prime h whose grid q^h saves the most pass length at length n,
+    or 1 if none does; ``weights`` maps each grid gcd(a, m) of the passes
+    (a, m, e, ...) to their number of passes, sum |e|.  Taking primes one
+    at a time nests them, which is never worse than a composite step."""
+    best, h = 0, 1
+    for p in {p for x in weights for p in _primes(x)}:
+        saved = (n - -(-n // p)) * sum(w for x, w in weights.items() if x % p == 0)
+        if saved > best:
+            best, h = saved, p
+    return h
+
+
+def _sub_product(passes, n, memo, share):
+    """``_run(passes, n, memo)``, read from ``memo`` or, when ``share`` and
+    n <= _MEMO_LEN, stored there, the oldest entry making room."""
+    key = (passes, n)
+    sub = memo.get(key)
+    if sub is None:
+        sub = _run(passes, n, memo)
+        if share and n <= _MEMO_LEN:
+            if len(memo) >= _MEMO_MAX:
+                del memo[next(iter(memo))]
+            memo[key] = sub
+    return sub
+
+
+def _run(passes, n, memo):
+    """Coefficients below q^n of the product of ``passes`` (each with a < n).
+
+    The passes on the grid q^h that ``_grid`` picks run first as one
+    sub-product in q^h at length ceil(n/h), read from ``memo`` or stored
+    there; it is spread onto every h-th coefficient and the other passes run
+    in place on the result.  Stored lists are only ever read.
+    """
+    weights = Counter()
+    for a, m, e, _ in passes:
+        weights[gcd(a, m)] += abs(e)
+    h = _grid(weights, n)
+    if h > 1:
+        inner = tuple((a // h, m // h, e, t) for a, m, e, t in passes
+                      if a % h == 0 and m % h == 0)
+        passes = [x for x in passes if x[0] % h or x[1] % h]
+        c = [0] * n
+        c[::h] = _sub_product(inner, -(-n // h), memo, bool(passes))
+    else:
+        c = [1] + [0] * (n - 1)
+    for a, m, e, theta in passes:
+        if theta:
+            for _ in range(abs(e)):
+                _theta_pass(c, a, m, e < 0)
+        else:
+            for d in range(a, n, m):
+                _apply_factor(c, d, 1, e, n)
+    return c
+
+
+def product_expand(p, n, memo=None):
+    """Expansion of a QProduct to order n (empty product gives 1).
+
+    Normal form (``_plan``): (-x;q^m) = (x^2;q^2m)/(x;q^m); (q^m;q^m) =
+    theta(m, 3m) (Euler); (q^a;q^2a) = (q^a;q^a)/(q^2a;q^2a); a pair
+    (q^a, q^(m-a); q^m) gives its common power of theta(a, m)/(q^m;q^m).
+    The passes run grid by grid (``_run``).  ``memo``, a dict the caller
+    keeps, shares the sub-products on coarser grids between calls.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    # a pass whose first term lies at or past q^n does nothing, and the
+    # empty product is one in q^n, so 1 costs one coefficient, whatever n
+    passes = [x for x in _plan(p) if x[0] < n]
+    c = _run(passes, n, {} if memo is None else memo) if passes else [1]
+    return Series(0, c, n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,18 @@ def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ")
     assert message.replace("{tmp}", str(tmp_path)) in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("expr", ["(10^1000)^3000*G(q)", "2^1099511627776*G(q)"],
+                         ids=["power-of-a-power", "huge-exponent"])
+def test_huge_constant_powers_are_refused_before_computing(capsys, expr):
+    # each constant has millions of bits or more; computing it ran for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "expand", expr, "--order", "5")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: BudgetExceeded: a constant power of about ")
     assert len(err.splitlines()) == 1
 
 

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -5,10 +6,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdissect import _kernels, products
-from qdissect.errors import NonUnitLeadingCoefficient, ParseError
+from qdissect.errors import BudgetExceeded, NonUnitLeadingCoefficient, ParseError
 from qdissect.exprlang import (
-    JP, MAX_DEPTH, MAX_SLACK, SLACK, Add, Div, Evaluator, Func, IntLit, Mul, Neg, Pow,
-    QVar, Sub, Subst, _as_term, evaluate, parse, to_text,
+    JP, MAX_CONSTANT_BITS, MAX_DEPTH, MAX_SLACK, SLACK, Add, Div, Evaluator, Func, IntLit, Mul,
+    Neg, Pow, QVar, Sub, Subst, _as_term, evaluate, parse, to_text,
 )
 from qdissect.products import QProduct
 from qdissect.registry import load_registry
@@ -108,6 +109,22 @@ def test_argument_that_is_not_a_power_of_q_is_one_error_at_its_offset(text, pos)
     with pytest.raises(ParseError, match=r"^argument must equal q\^j with j >= 1 ") as exc:
         parse(text)
     assert exc.value.pos == pos
+
+
+def test_constant_powers_are_bounded_before_computing():
+    # the estimate bit_length * |n| is checked, before the power is taken
+    half = MAX_CONSTANT_BITS // 2  # 2 has two bits
+    assert _as_term(parse(f"2^{half}"))[0] == 2 ** half
+    with pytest.raises(BudgetExceeded, match=f"limit of {MAX_CONSTANT_BITS} bits"):
+        _as_term(parse(f"2^{half + 1}"))
+    with pytest.raises(BudgetExceeded):
+        _as_term(parse(f"(-3)^{half + 1}*G(q)"))
+    # function arguments fold at parse time: refused there, not computed
+    with pytest.raises(BudgetExceeded):
+        parse("G((10^1000)^3000)")
+    # 0, 1 and -1 to any power cost nothing
+    for c in (0, 1, -1):
+        assert _as_term(parse(f"({c})^1099511627777"))[0] == c
 
 
 def test_depth_limit_is_exact():
@@ -353,6 +370,45 @@ def test_folded_products_match_separate_leaves(e, n):
     p = product_of(e)
     assert products.product_expand(p, n) == separately(e, n)
     assert Evaluator().eval(e, n) == separately(e, n)
+
+
+class CountingDict(dict):
+    """A dict that counts the reads that find their key."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        self.hits += value is not None
+        return value
+
+
+def sum_sides(text):
+    """The text with G, H and R written by the Rogers-Ramanujan sums, an
+    oracle that expands no product."""
+    text = re.sub(r"R\((q(\^\d+)?)\)", r"(Hsum(\1)/Gsum(\1))", text)
+    return text.replace("G(", "Gsum(").replace("H(", "Hsum(")
+
+
+def test_one_evaluator_shares_sub_products_and_leaves_them_intact():
+    # every text holds G(q^10)^2 or R(q^2)^2 beside factors on a finer grid;
+    # the last two are earlier products in another factor order, which the
+    # node cache keys apart and the sub-product memo does not
+    texts = ["G(q^5)*G(q^10)^2 - q*H(q^5)*G(q^10)^2 - 2*q^3*H(q^5)*G(q^10)*H(q^10)"
+             " + q^4*G(q^5)*H(q^10)^2",
+             "R(q)*R(q^2)^2", "H(q^5)*G(q^10)^2", "G(q^10)^2*G(q^5)", "R(q^2)^2*R(q)"]
+    ev = Evaluator()
+    ev._products = memo = CountingDict()
+    for order in (120, 121):
+        for text in texts:
+            assert ev.eval(text, order) == Evaluator().eval(sum_sides(text), order)
+    assert memo and memo.hits
+    # the first text again, from its stored sub-products: a list changed in
+    # place after it was stored would show here
+    ev._cache.clear()
+    hits = memo.hits
+    assert ev.eval(texts[0], 120) == Evaluator().eval(sum_sides(texts[0]), 120)
+    assert memo.hits > hits
 
 
 def test_fold_keeps_left_factors_then_negated_right():

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from qdissect import products
 from qdissect.exprlang import evaluate
-from qdissect.products import _THETA_BLOCK, PochFactor, QProduct, _apply_factor, _theta_pass
+from qdissect.products import (
+    _MUL_BLOCK, _THETA_BLOCK, PochFactor, QProduct, _apply_factor, _theta_pass,
+)
 from qdissect.series import Series
 
 from helpers import exponent_pattern
@@ -205,6 +207,63 @@ def test_product_expand_matches_dense_passes(p, n):
     assert all(type(c) is int for c in s.coeffs)
 
 
+@st.composite
+def mixed_grid_products(draw):
+    """Products with factors on the grids q, q^2, q^5 and q^10 side by side:
+    both signs, powers -4..4, factors with and without a partner
+    (q^(m-a); q^m), so the plan holds dense and theta passes on each grid."""
+    factors = []
+    for _ in range(draw(st.integers(1, 6))):
+        g = draw(st.sampled_from([1, 2, 5, 10]))
+        m = draw(st.integers(1, 6))
+        a = draw(st.one_of(st.integers(1, m), st.just(m), st.integers(m + 1, 2 * m)))
+        e = draw(st.integers(-4, 4))
+        factors.append(PochFactor(draw(st.sampled_from([1, -1])), g * a, g * m, e))
+        if a < m and draw(st.booleans()):
+            e2 = draw(st.one_of(st.just(e), st.integers(-4, 4)))
+            factors.append(PochFactor(draw(st.sampled_from([1, -1])), g * (m - a), g * m, e2))
+    return QProduct(factors)
+
+
+@given(st.lists(mixed_grid_products(), min_size=1, max_size=4), st.integers(1, 160))
+@settings(max_examples=150, deadline=None)
+def test_grid_runner_matches_dense_passes(ps, n):
+    # one memo across the products and two lengths, as one evaluator keeps
+    # it; every product again at the end reads only stored sub-products
+    memo = {}
+    for length in (n, n + 1, n):
+        for p in ps:
+            s = products.product_expand(p, length, memo)
+            assert s.order == length
+            assert s.coefficients(0, length) == dense_expand(p, length)
+    for p in ps:
+        assert products.product_expand(p, n, memo) == products.product_expand(p, n)
+
+
+def test_a_sub_product_shared_by_two_products_expands_once():
+    # G(q^5)*G(q^10)^2 and H(q^5)*G(q^10)^2 lie on q^5 as a whole: there
+    # they are G(q)*G(q^2)^2 and H(q)*G(q^2)^2 at length 80.  Both run
+    # their (q^5;q^5)*(q^10;q^10)^2 on q^5 again, as (q;q)*(q^2;q^2)^2 at
+    # length 16 with its (q^2;q^2)^2 at length 8 inside; the second
+    # product reads it from the memo.
+    g, h = G_FACTORS, H_FACTORS
+    p1 = QProduct(g.transform(subst=5).factors + g.transform(subst=10, scale=2).factors)
+    p2 = QProduct(h.transform(subst=5).factors + g.transform(subst=10, scale=2).factors)
+    n = 400
+    memo = {}
+    with mock.patch.object(products, "_theta_pass", wraps=products._theta_pass) as passes:
+        products.product_expand(p1, n, memo)
+        s2 = products.product_expand(p2, n, memo)
+    runs = [(len(c), a, m, divide) for (c, a, m, divide), _ in passes.call_args_list]
+    eta = (1, 3, False)  # theta(1, 3) = (q;q)
+    assert runs == [(8, *eta), (8, *eta), (16, *eta),
+                    (80, 1, 5, True), (80, 2, 10, True), (80, 2, 10, True),
+                    (80, 2, 5, True), (80, 2, 10, True), (80, 2, 10, True)]
+    assert list(memo) == [(((1, 3, 2, True),), 8),
+                          (((2, 6, 2, True), (1, 3, 1, True)), 16)]
+    assert s2.coefficients(0, n) == dense_expand(p2, n)
+
+
 def test_all_multiple_of_five_offsets_stay_in_residue_zero():
     # products whose offsets are all multiples of 5 expand on exponents
     # that are multiples of 5 only
@@ -252,10 +311,14 @@ THETA_PARAMS = st.integers(2, 12).flatmap(lambda m: st.tuples(st.integers(1, m -
 @example((4, 10), _THETA_BLOCK + 1, 2, True)
 @example((1, 2), 2 * _THETA_BLOCK + 1, 3, True)
 @example((9, 12), 3 * _THETA_BLOCK, 4, True)  # a term at d = 63 = _THETA_BLOCK - 1
+@example((1, 5), _MUL_BLOCK + 1, 5, False)
+@example((2, 3), 2 * _MUL_BLOCK + 7, 6, False)
+@example((1, 5), 2 * _MUL_BLOCK + 7, 7, True)
 @settings(max_examples=120, deadline=None)
 def test_theta_pass_matches_series_mul_and_invert(am, n, seed, divide):
     # mixed-sign coefficients of up to 130 bits; orders 1-400 cross the
-    # ends of several blocks of the dividing pass
+    # ends of several blocks of the dividing pass, the examples those of
+    # the multiplying pass
     a, m = am
     rng = random.Random(seed)
     c = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 130)) for _ in range(n)]
