@@ -15,6 +15,9 @@ Grammar (whitespace-insensitive):
 ``JP(a1,...;b1,...;q^m)`` is the quotient of Pochhammer products
 (a1,...;q^m)/(b1,...;q^m); ``subst(e, m)`` substitutes q -> q^m, and a call
 like ``G(q^2)`` is sugar for ``subst(G(q), 2)``.
+
+The parser folds each term c*q^k*(product) into one ``Term`` node as it
+builds it (``_fold``), so the evaluator never folds.
 """
 
 import re
@@ -24,9 +27,10 @@ from . import products
 from ._value import Value
 from .errors import BudgetExceeded, NonUnitLeadingCoefficient, ParseError
 from .products import PochFactor, QProduct
-from .series import Series
+from .series import Series, check_length
 
-_CALL_NAMES = ("G", "H", "R", "Rinv", "Gsum", "Hsum", "psi", "phi")
+_SUM_NAMES = ("Gsum", "Hsum", "psi", "phi")
+_CALL_NAMES = ("G", "H", "R", "Rinv") + _SUM_NAMES
 
 # Deepest AST and bracket nesting ``parse`` accepts (the registry needs 15).
 MAX_DEPTH = 100
@@ -47,17 +51,24 @@ MAX_SLACK = 4096
 # evaluator cache keys on, and slotted, because the cache keeps every parsed
 # tree alive.
 
-class IntLit(Value):
-    __slots__ = ("value",)
+class Term(Value):
+    """c*q^k*product, an integer c and a QProduct: the node of an integer, q,
+    JP, G, H, R, Rinv, k and any Neg, Mul, Div, Pow or Subst of terms."""
 
-
-class QVar(Value):
-    __slots__ = ()
+    __slots__ = ("c", "k", "product")
 
 
 class Func(Value):
+    """A sum side, one of _SUM_NAMES; the other calls are Terms."""
+
     __slots__ = ("name", "sign")
     _defaults = {"sign": 1}  # only phi distinguishes phi(q) from phi(-q)
+
+    @staticmethod
+    def _check(name, sign):
+        if name not in _SUM_NAMES:
+            raise ValueError(f"Func takes a sum side {_SUM_NAMES}, not {name!r}")
+        return name, sign
 
 
 class Add(Value):
@@ -86,11 +97,6 @@ class Pow(Value):
 
 class Subst(Value):
     __slots__ = ("operand", "power")
-
-
-class JP(Value):
-    # numerator and denominator are tuples of (sign, offset)
-    __slots__ = ("numerator", "denominator", "base")
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -134,7 +140,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -150,7 +155,6 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != "OP" or val != op:
             raise ParseError(pos, f"expected {op!r}")
-        return pos
 
     def expect_int(self):
         kind, val, pos = self.next()
@@ -180,7 +184,7 @@ class _Parser:
         minus = self.at_op("-") and self.next()
         node, depth = self.term()
         if minus:
-            node, depth = Neg(node), self.deeper(depth, minus[2])
+            node, depth = _fold(Neg, node), self.deeper(depth, minus[2])
         while self.at_op("+", "-"):
             _, op, pos = self.next()
             rhs, d = self.term()
@@ -193,7 +197,7 @@ class _Parser:
         while self.at_op("*", "/"):
             _, op, pos = self.next()
             rhs, d = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            node = _fold(Mul if op == "*" else Div, node, rhs)
             depth = self.deeper(max(depth, d), pos)
         return node, depth
 
@@ -201,29 +205,25 @@ class _Parser:
         node, depth = self.atom()
         if self.at_op("^"):
             _, _, pos = self.next()
-            neg = False
-            if self.at_op("-"):
-                self.next()
-                neg = True
-            n = self.expect_int()
-            n = -n if neg else n
+            neg = self.at_op("-") and self.next()
+            n = -self.expect_int() if neg else self.expect_int()
             if n == 0:
-                node, depth = IntLit(1), 1
+                node, depth = Term(1, 0, _ONE), 1
             elif n != 1:
-                node, depth = Pow(node, n), self.deeper(depth, pos)
+                node, depth = _fold(Pow, node, n), self.deeper(depth, pos)
         return node, depth
 
     def atom(self):
         kind, val, pos = self.next()
         if kind == "INT":
-            return IntLit(val), 1
+            return Term(val, 0, _ONE), 1
         if kind == "OP" and val == "(":
             e = self.expr()
             self.expect_op(")")
             return e
         if kind == "NAME":
             if val == "q":
-                return QVar(), 1
+                return _Q, 1
             if val == "k":
                 return _call("k", 1, 1)
             if val == "JP":
@@ -236,7 +236,8 @@ class _Parser:
                 self.expect_op(")")
                 if m < 1:
                     raise ParseError(pos, "substitution power must be >= 1")
-                return (inner, depth) if m == 1 else (Subst(inner, m), self.deeper(depth, pos))
+                return (inner, depth) if m == 1 else (_fold(Subst, inner, m),
+                                                      self.deeper(depth, pos))
             if val in _CALL_NAMES:
                 return self.call(val)
             raise ParseError(pos, f"unknown name {val!r}")
@@ -256,7 +257,8 @@ class _Parser:
         self.expect_op(";")
         _, base = self.q_power()
         self.expect_op(")")
-        return JP(num, den, base)
+        return Term(1, 0, QProduct([PochFactor(s, j, base, 1) for s, j in num]
+                                   + [PochFactor(s, j, base, -1) for s, j in den]))
 
     def jp_items(self):
         if self.at_op(";"):
@@ -268,22 +270,54 @@ class _Parser:
         return tuple(items)
 
     def q_power(self, signed=False):
-        """(sign, j) of an argument: an expression that folds (``_as_term``)
-        to q^j with j >= 1, or, where ``signed``, to -q^j."""
+        """(sign, j) of an argument: an expression whose node is the Term
+        q^j with j >= 1, or, where ``signed``, -q^j."""
         pos = self.peek()[2]
-        t = _as_term(self.expr()[0])
-        if t is None or t[2].factors or t[1] < 1 or t[0] not in ((1, -1) if signed else (1,)):
+        t = self.expr()[0]
+        if (not isinstance(t, Term) or t.product.factors or t.k < 1
+                or t.c not in ((1, -1) if signed else (1,))):
             raise ParseError(pos, "argument must equal q^j with j >= 1 "
                              "(or -q^j for phi and JP items)")
-        return t[0], t[1]
+        return t.c, t.k
+
+
+def _fold(cls, a, b=None):
+    """The node ``cls(a, b)`` (``Neg(a)`` for Neg), one Term when its operands
+    are terms.  A term divisor, or a term base to a negative power, folds
+    only when its constant is +-1, so c stays an integer; a non-term over
+    such a divisor is a Mul by its inverse, so a Div is always Series.div."""
+    if cls is Div and isinstance(b, Term) and b.c in (1, -1):
+        cls, b = Mul, _power(b, -1)
+    if isinstance(a, Term):
+        if cls is Neg:
+            return Term(-a.c, a.k, a.product)
+        if cls is Mul and isinstance(b, Term):
+            return Term(a.c * b.c, a.k + b.k, QProduct(a.product.factors + b.product.factors))
+        if cls is Subst:
+            return Term(a.c, a.k * b, a.product.transform(subst=b))
+        if cls is Pow and (b > 0 or a.c in (1, -1)):
+            return _power(a, b)
+    return cls(a) if cls is Neg else cls(a, b)
+
+
+@lru_cache(maxsize=256)
+def _power(t, n):
+    """The Term t to the power n, where n > 0 or t's constant is +-1;
+    BudgetExceeded when the constant would pass MAX_CONSTANT_BITS."""
+    c = t.c
+    if abs(c) > 1 and c.bit_length() * abs(n) > MAX_CONSTANT_BITS:
+        raise BudgetExceeded(f"a constant power of about {c.bit_length() * abs(n)} bits "
+                             f"is past the limit of {MAX_CONSTANT_BITS} bits")
+    # (-1)**-1 is a float; c**|n| equals c**n for c = +-1
+    return Term(c ** abs(n), t.k * n, t.product.transform(scale=n))
 
 
 @lru_cache(maxsize=256)
 def _call(name, sign, m):
     """(node, depth) of ``name(sign*q^m)``: one node per call, which the
     trees of every text share, so it is stored and hashed once."""
-    node = Func(name, sign)
-    return (node, 1) if m == 1 else (Subst(node, m), 2)
+    node = _TERMS[name] if name in _TERMS else Func(name, sign)
+    return (node, 1) if m == 1 else (_fold(Subst, node, m), 2)
 
 
 def parse(text):
@@ -292,10 +326,32 @@ def parse(text):
     return _Parser(text).parse()
 
 
+_ONE = QProduct(())
+_Q = Term(1, 1, _ONE)
+
+# Named series that abbreviate expression text, parsed once into terms
+# (k's text uses R, so R comes first).
+_TERMS = {}
+for _name, _text in (
+    ("G", "JP(;q,q^4;q^5)"), ("H", "JP(;q^2,q^3;q^5)"),
+    ("R", "JP(q,q^4;q^2,q^3;q^5)"), ("Rinv", "JP(q^2,q^3;q,q^4;q^5)"),
+    ("k", "q*R(q)*R(q^2)^2"),
+):
+    _TERMS[_name] = parse(_text)
+del _name, _text
+
+
 # -- printer -----------------------------------------------------------------
 
 
+def _qpow(m):
+    return "q" if m == 1 else f"q^{m}"
+
+
 def _prec(e):
+    if isinstance(e, Term):  # a signed term, a product, a power or an atom
+        t = to_text(e)
+        return 1 if e.c < 0 else 2 if "*" in t else 3 if "^" in t.rsplit(")", 1)[-1] else 4
     if isinstance(e, (Add, Sub, Neg)):
         return 1
     if isinstance(e, (Mul, Div)):
@@ -310,28 +366,24 @@ def _wrap(e, minimum):
     return f"({t})" if _prec(e) < minimum else t
 
 
-def _qpow(m):
-    return "q" if m == 1 else f"q^{m}"
-
-
 def to_text(e):
-    """Canonical text form; parse(to_text(e)) == e."""
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, QVar):
-        return "q"
+    """Canonical text form; parse(to_text(e)) == e for every tree parse
+    builds.  A Term prints as its sign, |c| (left out when it is 1 and more
+    follows), q^k, then each factor in stored order as JP(+-q^j;;q^m)^e."""
+    if isinstance(e, Term):
+        items = [] if abs(e.c) == 1 and (e.k or e.product.factors) else [str(abs(e.c))]
+        if e.k:
+            items.append(_qpow(e.k))
+        for f in e.product.factors:
+            jp = f"JP({'-' if f.sign < 0 else ''}{_qpow(f.offset)};;{_qpow(f.modulus)})"
+            items.append(jp if f.power == 1 else f"{jp}^{f.power}")
+        return ("-" if e.c < 0 else "") + "*".join(items)
     if isinstance(e, Func):
-        if e.name == "k":
-            return "k"
-        arg = "-q" if e.sign < 0 else "q"
-        return f"{e.name}({arg})"
+        return f"{e.name}({'-' if e.sign < 0 else ''}q)"
     if isinstance(e, Subst):
         inner = e.operand
-        if isinstance(inner, Func) and inner.name != "k":
-            arg = _qpow(e.power)
-            if inner.sign < 0:
-                arg = "-" + arg
-            return f"{inner.name}({arg})"
+        if isinstance(inner, Func):
+            return f"{inner.name}({'-' if inner.sign < 0 else ''}{_qpow(e.power)})"
         return f"subst({to_text(inner)}, {e.power})"
     if isinstance(e, Add):
         return f"{_wrap(e.left, 1)} + {_wrap(e.right, 2)}"
@@ -345,76 +397,12 @@ def to_text(e):
         return f"-{_wrap(e.operand, 2)}"
     if isinstance(e, Pow):
         return f"{_wrap(e.base, 4)}^{e.exponent}"
-    if isinstance(e, JP):
-        num = ",".join(("-" if s < 0 else "") + _qpow(j) for s, j in e.numerator)
-        den = ",".join(("-" if s < 0 else "") + _qpow(j) for s, j in e.denominator)
-        return f"JP({num};{den};{_qpow(e.base)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
 # -- evaluator ----------------------------------------------------------------
 
 _FUNC_EVAL = {"Gsum": products.G_sum, "Hsum": products.H_sum, "psi": products.psi}
-
-
-def _as_term(e):
-    """(c, k, p) with e = c*q^k*p, c an integer and p a QProduct, for an
-    integer, q, JP, G, H, R, Rinv, k, or a Neg, Mul, Subst, Pow or Div of
-    such terms; else None.  A divisor, or a base to a negative power, folds
-    only when its constant is +-1, so c stays an integer."""
-    if isinstance(e, Func):
-        return _TERMS.get(e.name)
-    if isinstance(e, IntLit):
-        return e.value, 0, _ONE
-    if isinstance(e, QVar):
-        return 1, 1, _ONE
-    if isinstance(e, JP):
-        return 1, 0, QProduct([PochFactor(s, j, e.base, 1) for s, j in e.numerator]
-                              + [PochFactor(s, j, e.base, -1) for s, j in e.denominator])
-    if isinstance(e, Neg):
-        t = _as_term(e.operand)
-        return None if t is None else (-t[0], t[1], t[2])
-    if isinstance(e, (Mul, Div)):
-        a = _as_term(e.left)
-        b = None if a is None else _as_term(e.right)
-        if b is not None and isinstance(e, Div):
-            b = _power(b, -1)
-        if b is None:
-            return None
-        return a[0] * b[0], a[1] + b[1], QProduct(a[2].factors + b[2].factors)
-    if isinstance(e, Subst):
-        t = _as_term(e.operand)
-        return None if t is None else (t[0], t[1] * e.power, t[2].transform(subst=e.power))
-    if isinstance(e, Pow):
-        t = _as_term(e.base)
-        return None if t is None else _power(t, e.exponent)
-    return None
-
-
-def _power(t, n):
-    """The term t to the power n, or None when n < 0 and t's constant is not
-    +-1; BudgetExceeded when the constant would pass MAX_CONSTANT_BITS."""
-    if n < 0 and t[0] not in (1, -1):
-        return None
-    if abs(t[0]) > 1 and t[0].bit_length() * abs(n) > MAX_CONSTANT_BITS:
-        raise BudgetExceeded(f"a constant power of about {t[0].bit_length() * abs(n)} bits "
-                             f"is past the limit of {MAX_CONSTANT_BITS} bits")
-    # (-1)**-1 is a float; c**|n| equals c**n for c = +-1
-    return t[0] ** abs(n), t[1] * n, t[2].transform(scale=n)
-
-
-_ONE = QProduct(())
-
-# Named series that abbreviate expression text, folded once into terms
-# (k's text uses R, so R comes first).
-_TERMS = {}
-for _name, _text in (
-    ("G", "JP(;q,q^4;q^5)"), ("H", "JP(;q^2,q^3;q^5)"),
-    ("R", "JP(q,q^4;q^2,q^3;q^5)"), ("Rinv", "JP(q^2,q^3;q,q^4;q^5)"),
-    ("k", "q*R(q)*R(q^2)^2"),
-):
-    _TERMS[_name] = _as_term(parse(_text))
-del _name, _text
 
 
 class _ZeroDivisor(Exception):
@@ -426,7 +414,9 @@ class Evaluator:
 
     The cache keys on (node, working order).  Nodes are immutable Values
     that compare and hash by their fields (``_value.Value``), so equal
-    subexpressions, within one text or across texts, share one entry.
+    subexpressions, within one text or across texts, share one entry; so
+    do texts that fold to one Term, such as ``k/q`` and ``R(q)*R(q^2)^2``.
+    A Term is one product expansion, shifted and scaled.
     A second dict holds the short sub-products on coarser grids that
     expansions run first (``products.product_expand``), so a part that the
     terms of one text, or several texts, share expands once.
@@ -451,6 +441,7 @@ class Evaluator:
             raise ValueError("order must be >= 1")
         slack = SLACK
         while True:
+            check_length(order + slack)
             try:
                 s = self._eval(e, order + slack)
             except _ZeroDivisor as exc:
@@ -474,13 +465,11 @@ class Evaluator:
         return s
 
     def _eval_uncached(self, e, m):
-        t = _as_term(e)
-        if t is not None:
-            c, k, p = t
-            if c == 0 or k >= m:
+        if isinstance(e, Term):
+            if e.c == 0 or e.k >= m:
                 return Series.zero(m)
-            s = products.product_expand(p, m - k, self._products)
-            return s if c == 1 and k == 0 else s.shift(k).scalar_mul(c)
+            s = products.product_expand(e.product, m - e.k, self._products)
+            return s if e.c == 1 and e.k == 0 else s.shift(e.k).scalar_mul(e.c)
         if isinstance(e, Func):
             if e.name == "phi":
                 return products.phi(e.sign, m)
@@ -497,9 +486,6 @@ class Evaluator:
         if isinstance(e, Mul):
             return self._eval(e.left, m).mul(self._eval(e.right, m))
         if isinstance(e, Div):
-            if _as_term(Pow(e.right, -1)) is not None:
-                # a term inverts by negating its powers: no Newton step
-                return self._eval(e.left, m).mul(self._eval(Pow(e.right, -1), m))
             return self._eval(e.left, m).div(self._divisor(e.right, m))
         if isinstance(e, Pow):
             base = self._divisor(e.base, m) if e.exponent < 0 else self._eval(e.base, m)

@@ -11,8 +11,7 @@ exponents (divide out (1-q^k)^(-c_k) for its first nonzero c_k, k = 1, 2,
 ...).  A series F(q^g), with g the gcd of its exponents (a multiple of 5
 for every 5-dissection slice), is recovered from F at order ceil(n/g): t
 and the divisor sums both scale by g, so a_(gk) = b_k and every other a_n
-is 0, the inverse of ``products.product_expand``'s rule that a product in
-q^g expands in q.
+is 0, as ``products._run`` runs the passes on a grid q^h at ceil(n/h).
 """
 
 from math import gcd

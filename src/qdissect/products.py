@@ -20,8 +20,8 @@ sub-product with no passes beside it.  A memo dict that the caller keeps
 (``exprlang.Evaluator`` does) shares short sub-products between products,
 such as that (q^5;q^5)*(q^10;q^10)^2, which H(q)*G(q^2)^2 has too.
 
-The evaluator folds every term c*q^k*(products and quotients of products)
-into one ``QProduct`` (``exprlang._as_term``), so a series such as
+The parser folds every term c*q^k*(products and quotients of products)
+into one ``QProduct`` (``exprlang.Term``), so a series such as
 1/(R(q)*R(q^2)^2), or k = q*R(q)*R(q^2)^2, is one expansion, shifted and
 scaled, with no convolution or Newton step.  The sum sides (``G_sum``,
 ``H_sum``, ``phi``, ``psi``) are independent of all this and act as
@@ -35,7 +35,7 @@ from operator import add, sub
 
 from . import _kernels
 from ._value import Value
-from .series import Series
+from .series import Series, check_length
 
 # Block length of a dividing theta pass: terms with d at least this long
 # read only finished values and become one slice update per block.
@@ -277,6 +277,7 @@ def _run(passes, n, memo):
     there; it is spread onto every h-th coefficient and the other passes run
     in place on the result.  Stored lists are only ever read.
     """
+    check_length(n)
     weights = Counter()
     for a, m, e, _ in passes:
         weights[gcd(a, m)] += abs(e)

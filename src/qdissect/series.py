@@ -14,7 +14,17 @@ from math import gcd
 
 from . import _kernels
 from ._value import Value
-from .errors import NonUnitLeadingCoefficient, OrderExceeded
+from .errors import BudgetExceeded, NonUnitLeadingCoefficient, OrderExceeded
+
+# The longest coefficient list an operation may allocate, some 50 times the
+# longest that the paper's orders (sign scans to 10^4) and the tests need.
+MAX_LENGTH = 1 << 20
+
+
+def check_length(n):
+    """Refuse a list of more than MAX_LENGTH coefficients before allocating."""
+    if n > MAX_LENGTH:
+        raise BudgetExceeded(f"a list of {n} coefficients is past the limit of {MAX_LENGTH}")
 
 
 class Series(Value):
@@ -94,6 +104,7 @@ class Series(Value):
         order = min(self.order, other.order)
         lo = min(self.val, other.val)
         hi = min(max(self.val + len(self.coeffs), other.val + len(other.coeffs)), order)
+        check_length(hi - lo)
         window = map(operator.add, self.coefficients(lo, hi), other.coefficients(lo, hi))
         return Series(lo, list(window), order)
 

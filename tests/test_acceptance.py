@@ -13,7 +13,7 @@ import pytest
 
 from qdissect import products, signscan
 from qdissect.dissection import Dissection, dissect, recombine
-from qdissect.exprlang import JP, Evaluator, _as_term, parse, to_text
+from qdissect.exprlang import Evaluator, Term, parse, to_text
 from qdissect.prodmake import detect_period, prodmake
 from qdissect.registry import (
     IdentityRecord, load_registry, verify, verify_all, verify_proof_pipeline,
@@ -115,7 +115,7 @@ def test_criterion_5_prodmake_recovers_the_theorems():
             view = detect_period(exps, spec.period)
             assert view is not None, (target, i)
             assert not view.leading_exceptions, (target, i)
-            eta_want, plus_want = exponent_pattern(_as_term(parse(jptext))[2], spec.period)
+            eta_want, plus_want = exponent_pattern(parse(jptext).product, spec.period)
             assert view.eta == eta_want, (target, i)
             assert view.eta_plus == plus_want, (target, i)
 
@@ -148,11 +148,11 @@ def test_criterion_6_oracles_and_properties():
     seen = {}
     for rec in REG:
         for node in _walk(parse(rec.lhs)) + _walk(parse(rec.rhs)):
-            if isinstance(node, JP):
+            if isinstance(node, Term) and node.product.factors:
                 seen[to_text(node)] = node
     assert len(seen) >= 30
     for node in seen.values():
-        p = _as_term(node)[2]
+        p = node.product
         f = products.product_expand(p, 200)
         exps = prodmake(f, 200)  # re-expansion soundness is checked inside
         expect = {}

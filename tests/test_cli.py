@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from qdissect.cli import main
+from qdissect.series import MAX_LENGTH
 
 
 def run(capsys, *argv):
@@ -314,16 +315,41 @@ def test_order_validation(capsys):
     assert code == 2
 
 
-def test_huge_negative_power_of_q_is_constant_size():
-    """q^-N is the empty product shifted: O(1) coefficients, not N."""
+def run_capped(*argv, timeout=60):
+    """The CLI in a child process whose address space is capped at 2 GB, so
+    that a regression fails instead of allocating gigabytes."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    cap = 2 << 30  # address space, so that a regression fails instead of allocating gigabytes
-    proc = subprocess.run(
-        [sys.executable, "-m", "qdissect.cli", "expand", "q^-1000000000", "--order", "5"],
-        capture_output=True, text=True, timeout=60, env=env,
+    cap = 2 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "qdissect.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
+
+
+def test_huge_negative_power_of_q_is_constant_size():
+    """q^-N is the empty product shifted: O(1) coefficients, not N."""
+    proc = run_capped("expand", "q^-1000000000", "--order", "5")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "-1000000000\t1\n# trusted below q^5\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # the results really have ~10^9 coefficients below q^5
+    ("expand", "q^-1000000000+1", "--order", "5"),
+    ("expand", "q^-1000000000*G(q)", "--order", "5"),
+    ("expand", "R(q)", "--order", "100000000"),
+    ("prodmake", "1+q", "--order", "100000000"),
+    ("signs", "--which", "alpha", "--order", "100000000"),
+], ids=["laurent-sum", "laurent-term", "expand-order", "prodmake-order", "signs-order"])
+def test_long_lists_are_refused_before_allocating(argv):
+    # each ran out of memory or ran for minutes before the length bound
+    start = time.perf_counter()
+    proc = run_capped(*argv, timeout=30)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: BudgetExceeded: a list of ")
+    assert proc.stderr.endswith(f" coefficients is past the limit of {MAX_LENGTH}\n")
+    assert len(proc.stderr.splitlines()) == 1

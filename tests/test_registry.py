@@ -188,7 +188,7 @@ def test_duplicate_ids_rejected(tmp_path):
 
 
 def test_every_registry_product_is_a_unit_at_valuation_zero(reg):
-    from qdissect.exprlang import JP, Evaluator, _as_term, to_text
+    from qdissect.exprlang import Term, to_text
     from qdissect import products as prod_mod
 
     def walk(node):
@@ -202,9 +202,9 @@ def test_every_registry_product_is_a_unit_at_valuation_zero(reg):
     seen = {}
     for rec in reg:
         for node in walk(parse(rec.lhs)) + walk(parse(rec.rhs)):
-            if isinstance(node, JP):
+            if isinstance(node, Term) and node.product.factors:
                 seen[to_text(node)] = node
     assert len(seen) >= 30
     for node in seen.values():
-        s = prod_mod.product_expand(_as_term(node)[2], 50)
+        s = prod_mod.product_expand(node.product, 50)
         assert s.val == 0 and s.leading_coefficient() == 1

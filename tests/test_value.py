@@ -11,7 +11,7 @@ import pytest
 from qdissect._value import Value
 from qdissect.dissection import Dissection
 from qdissect.exprlang import (
-    JP, Add, Div, Evaluator, Func, IntLit, Mul, Neg, Pow, QVar, Sub, Subst, parse,
+    Add, Div, Evaluator, Func, Mul, Neg, Pow, Sub, Subst, Term, parse,
 )
 from qdissect.prodmake import EtaExponents, PeriodView
 from qdissect.products import PochFactor, QProduct
@@ -23,10 +23,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 _RULE = SignRule(5, {0, 2, 4}, {1, 3})
 _VIEW = PeriodView(5, {1: -1, 4: -1}, {}, {})
+_Q = Term(1, 1, QProduct(()))
 EXAMPLES = [
-    IntLit(3), QVar(), Func("G"), Add(IntLit(1), QVar()), Sub(QVar(), IntLit(1)),
-    Mul(QVar(), Func("R")), Div(IntLit(1), Func("G")), Neg(QVar()), Pow(Func("R"), -2),
-    Subst(Func("H"), 2), JP(((1, 1),), ((-1, 2),), 5),
+    Term(-3, 2, QProduct((PochFactor(1, 1, 5, -1),))), Func("Gsum"),
+    Add(Func("psi"), _Q), Sub(_Q, Func("Hsum")), Mul(_Q, Func("Gsum")),
+    Div(_Q, Func("Hsum")), Neg(Func("psi")), Pow(Func("Gsum"), -2), Subst(Func("phi", -1), 2),
     PochFactor(1, 1, 5), QProduct((PochFactor(-1, 2, 5, 3),)),
     IdentityRecord("r", "G(q)", "Gsum(q)", 100, ""), VerifyReport("r", 100, True),
     DissectionSpec("alpha", "k/q", "alpha-5dis", 5, 5, ((1, 0, "JP(;q;q)"),)),
@@ -38,7 +39,7 @@ EXAMPLES = [
 
 def test_every_value_class_has_an_example():
     classes = {type(v) for v in EXAMPLES}
-    assert len(classes) == len(EXAMPLES) == 23
+    assert len(classes) == len(EXAMPLES) == 21
 
 
 @pytest.mark.parametrize("v", EXAMPLES, ids=lambda v: type(v).__name__)
@@ -73,12 +74,13 @@ def test_series_copy_and_pickle_but_do_not_hash():
 
 
 def test_nodes_are_equal_only_within_one_class():
-    a, b = IntLit(1), QVar()
+    a, b = Func("Gsum"), Func("psi")
     assert Add(a, b) != Mul(a, b)
-    assert Add(a, b) == Add(IntLit(1), QVar())
-    assert hash(Add(a, b)) == hash(Add(IntLit(1), QVar()))
+    assert Add(a, b) == Add(Func("Gsum"), Func("psi"))
+    assert hash(Add(a, b)) == hash(Add(Func("Gsum"), Func("psi")))
     assert Add(a, b) != (a, b)
-    assert repr(Add(a, b)) == "Add(left=IntLit(value=1), right=QVar())"
+    assert repr(Add(a, b)) == ("Add(left=Func(name='Gsum', sign=1), "
+                               "right=Func(name='psi', sign=1))")
 
 
 def test_equal_trees_from_different_texts_share_one_cache_entry():
@@ -93,7 +95,7 @@ def test_equal_trees_from_different_texts_share_one_cache_entry():
 
 
 def test_defaults_and_keywords():
-    assert Func("G") == Func("G", 1) == Func(name="G") and Func("G").sign == 1
+    assert Func("Gsum") == Func("Gsum", 1) == Func(name="Gsum") and Func("Gsum").sign == 1
     assert Func("phi", sign=-1).sign == -1
     r = VerifyReport("adhoc", 50, False, error="ParseError: boom")
     assert r.error == "ParseError: boom" and r.mismatch_exponent is None
@@ -101,13 +103,20 @@ def test_defaults_and_keywords():
     assert PochFactor(1, 2, 5).power == 1
     assert SignRule(5, {0}, {1, 2, 3, 4}).exceptions == frozenset()
     with pytest.raises(TypeError, match="takes 2 arguments"):
-        Func("G", 1, 2)
+        Func("Gsum", 1, 2)
     with pytest.raises(TypeError, match="missing argument 'right'"):
-        Add(QVar())
+        Add(Func("psi"))
     with pytest.raises(TypeError, match="unexpected or repeated argument 'name'"):
-        Func("G", name="H")
+        Func("Gsum", name="Hsum")
     with pytest.raises(TypeError, match="unexpected or repeated argument 'nope'"):
-        IntLit(1, nope=2)
+        Term(1, 0, QProduct(()), nope=2)
+
+
+@pytest.mark.parametrize("name", ["G", "H", "R", "Rinv", "k", "JP", "W"])
+def test_func_takes_only_sum_sides(name):
+    # the named products are Terms; a Func of one would fail only when evaluated
+    with pytest.raises(ValueError, match=f"not {name!r}"):
+        Func(name)
 
 
 @pytest.mark.parametrize("args, message", [
