@@ -1,15 +1,17 @@
 import random
+from math import comb
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdissect import products
-from qdissect.exprlang import evaluate
+from qdissect import _kernels, products
+from qdissect.exprlang import Evaluator, evaluate
 from qdissect.products import (
-    _MUL_BLOCK, _THETA_BLOCK, PochFactor, QProduct, _apply_factor, _theta_pass,
+    _THETA_BLOCK, PochFactor, QProduct, _apply_factor, _theta_pass,
 )
+from qdissect.registry import load_registry
 from qdissect.series import Series
 
 from helpers import exponent_pattern
@@ -254,14 +256,31 @@ def test_a_sub_product_shared_by_two_products_expands_once():
     with mock.patch.object(products, "_theta_pass", wraps=products._theta_pass) as passes:
         products.product_expand(p1, n, memo)
         s2 = products.product_expand(p2, n, memo)
-    runs = [(len(c), a, m, divide) for (c, a, m, divide), _ in passes.call_args_list]
-    eta = (1, 3, False)  # theta(1, 3) = (q;q)
-    assert runs == [(8, *eta), (8, *eta), (16, *eta),
-                    (80, 1, 5, True), (80, 2, 10, True), (80, 2, 10, True),
-                    (80, 2, 5, True), (80, 2, 10, True), (80, 2, 10, True)]
+    # one call per plan entry, with the entry's power of theta(a, m)
+    runs = [(len(c), a, m, e) for (c, a, m, e), _ in passes.call_args_list]
+    assert runs == [(8, 1, 3, 2), (16, 1, 3, 1),  # theta(1, 3) = (q;q)
+                    (80, 1, 5, -1), (80, 2, 10, -2),
+                    (80, 2, 5, -1), (80, 2, 10, -2)]
     assert list(memo) == [(((1, 3, 2, True),), 8),
                           (((2, 6, 2, True), (1, 3, 1, True)), 16)]
     assert s2.coefficients(0, n) == dense_expand(p2, n)
+
+
+def test_each_multiplying_theta_entry_packs_once_and_never_convolves():
+    # the four dissection sources are quotients of theta functions: every
+    # multiplying entry of their plans packs its list once, whatever its
+    # power, and nothing runs through a convolution
+    sources = [d.source for d in load_registry().dissections.values()]
+    assert len(sources) == 4
+    for source in sources:
+        with mock.patch.object(products, "_theta_pass", wraps=products._theta_pass) as passes, \
+                mock.patch.object(_kernels, "pack", wraps=_kernels.pack) as packs, \
+                mock.patch.object(_kernels, "conv", wraps=_kernels.conv) as convs:
+            assert Evaluator().eval(source, 600).order == 600
+        powers = [e for (_, _, _, e), _ in passes.call_args_list]
+        assert sum(e > 0 for e in powers) >= 1
+        assert packs.call_count == sum(e > 0 for e in powers), source
+        assert convs.call_count == 0, source
 
 
 def test_all_multiple_of_five_offsets_stay_in_residue_zero():
@@ -304,28 +323,89 @@ def theta_series(a, m, n):
 
 
 THETA_PARAMS = st.integers(2, 12).flatmap(lambda m: st.tuples(st.integers(1, m - 1), st.just(m)))
+POWERS = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
 
 
-@given(THETA_PARAMS, st.integers(1, 400), st.integers(0, 2**32), st.booleans())
-@example((2, 5), _THETA_BLOCK, 1, True)
-@example((4, 10), _THETA_BLOCK + 1, 2, True)
-@example((1, 2), 2 * _THETA_BLOCK + 1, 3, True)
-@example((9, 12), 3 * _THETA_BLOCK, 4, True)  # a term at d = 63 = _THETA_BLOCK - 1
-@example((1, 5), _MUL_BLOCK + 1, 5, False)
-@example((2, 3), 2 * _MUL_BLOCK + 7, 6, False)
-@example((1, 5), 2 * _MUL_BLOCK + 7, 7, True)
+@given(THETA_PARAMS, st.integers(1, 400), st.integers(0, 2**32), POWERS)
+@example((2, 5), _THETA_BLOCK, 1, -1)
+@example((4, 10), _THETA_BLOCK + 1, 2, -2)
+@example((1, 2), 2 * _THETA_BLOCK + 1, 3, -1)
+@example((9, 12), 3 * _THETA_BLOCK, 4, -3)  # a term at d = 63 = _THETA_BLOCK - 1
+@example((1, 5), 1, 5, 1)
+@example((2, 3), 2, 6, 3)
+@example((1, 5), 513, 7, 4)
+@example((1, 5), 513, 8, -4)
 @settings(max_examples=120, deadline=None)
-def test_theta_pass_matches_series_mul_and_invert(am, n, seed, divide):
-    # mixed-sign coefficients of up to 130 bits; orders 1-400 cross the
-    # ends of several blocks of the dividing pass, the examples those of
-    # the multiplying pass
+def test_theta_pass_matches_series_mul_and_invert(am, n, seed, e):
+    # mixed-sign coefficients of up to 130 bits times theta(a, m)^e; orders
+    # 1-400 cross the ends of several blocks of the dividing pass, and the
+    # slot widths of the multiplying pass grow with e
     a, m = am
     rng = random.Random(seed)
     c = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 130)) for _ in range(n)]
     theta = theta_series(a, m, n)
-    f = Series(0, c, n)
-    want = f.mul(theta.invert() if divide else theta)
-    _theta_pass(c, a, m, divide)
+    factor = theta if e > 0 else theta.invert()
+    want = Series(0, c, n)
+    for _ in range(abs(e)):
+        want = want.mul(factor)
+    _theta_pass(c, a, m, e)
+    assert Series(0, c, n) == want
+
+
+def pentagonal_terms(count):
+    """The first ``count`` terms (d, sign) of theta(1, 3) = (q;q) past its
+    constant, by rising d: Euler's pentagonal numbers k*(3k-1)/2."""
+    terms = [(k * (3 * k - 1) // 2, -1 if k % 2 else 1) for k in range(-count, count + 1) if k]
+    return sorted(terms)[:count]
+
+
+# T terms of theta(1, 3) below q^n, with T+1 in each bit length 2..9 and
+# past its power of two, so that (T+1)*(2^j - 1) has j + bits(T+1) bits
+EXTREMAL_T = (2, 6, 10, 20, 40, 80, 160, 300)
+
+
+@pytest.mark.parametrize("j", [7, 8, 9, 62, 63, 64, 65, 66, 127, 128, 129, 130])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_theta_multiply_meets_the_l1_bound_exactly(j, sign):
+    # c[n-1] = M and c[n-1-d] = s_d*M for each term s_d*q^d, so that
+    # out[n-1] = (T+1)*M: the l1 bound on one multiply, met with equality.
+    # The cases are the orders where j + bits(T+1) is next to or on a
+    # multiple of 8, so that one bit less in the slot width loses a byte.
+    M = sign * (2**j - 1)
+    cases = [t for t in EXTREMAL_T if (j + (t + 1).bit_length()) % 8 in (7, 0, 1)]
+    assert any((j + (t + 1).bit_length()) % 8 == 0 for t in cases)
+    for t in cases:
+        terms = pentagonal_terms(t)
+        n = terms[-1][0] + 1
+        c = [0] * n
+        c[n - 1] = M
+        for d, s in terms:
+            c[n - 1 - d] = s * M
+        want = {}  # the sparse product, c times the terms and the constant
+        for p in [n - 1] + [n - 1 - d for d, _ in terms]:
+            for d, s in [(0, 1)] + terms:
+                if p + d < n:
+                    want[p + d] = want.get(p + d, 0) + s * c[p]
+        _theta_pass(c, 1, 3, 1)
+        assert c[n - 1] == (t + 1) * M
+        assert c == [want.get(i, 0) for i in range(n)]
+
+
+def test_large_powers_take_the_binomial_bound():
+    # theta(1, 5)^60 at order 40: C(39+60, 60) is far below (T+1)^60, so
+    # the slot width comes from the binomial bound; the powers of 5 start
+    # mixed-sign coefficients of up to 40 bits
+    n, e = 40, 60
+    l1 = sum(map(abs, theta_series(1, 5, n).coeffs))  # T+1
+    assert comb(n - 1 + e, e).bit_length() < e * l1.bit_length() // 2
+    theta = QProduct((PochFactor(1, 1, 5, e), PochFactor(1, 4, 5, e), PochFactor(1, 5, 5, e)))
+    c = [1] + [0] * (n - 1)
+    _theta_pass(c, 1, 5, e)
+    assert c == dense_expand(theta, n)
+    rng = random.Random(60)
+    c = [rng.choice((-1, 1)) * rng.getrandbits(40) for _ in range(n)]
+    want = Series(0, c, n).mul(Series(0, dense_expand(theta, n), n))
+    _theta_pass(c, 1, 5, e)
     assert Series(0, c, n) == want
 
 
