@@ -7,8 +7,8 @@ coefficients of the truncated product (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
 44, 2009).
 
-``pack`` and ``unpack`` are the one slot format: ``conv`` and the
-multiplying theta pass (``products._theta_pass``) both use them.
+``pack``, ``unpack`` and ``slot_bytes`` are the one slot format: ``conv``
+and the multiplying theta pass (``products._theta_pass``) both use them.
 """
 
 BACKEND = "python"
@@ -21,6 +21,11 @@ _PACK_SLOTS = 256
 def _top(kb, n):
     """The integer with bit k-1 of each of n k-bit slots set, k = 8*kb."""
     return int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
+
+
+def slot_bytes(bits):
+    """Bytes per slot that hold every |x| < 2**bits with a sign bit."""
+    return bits // 8 + 1
 
 
 def pack(xs, kb):
@@ -50,14 +55,15 @@ def unpack(x, kb, n):
 def conv(a, b, out_len):
     """Truncated convolution out[n] = sum a[i]*b[n-i], n < out_len.
 
-    Every |out[n]| is below 2**(k-1): it is a sum of at most min(len)
-    products, each below 2**(bits(a) + bits(b)).
+    Every |out[n]| is below 2**(bits(a) + bits(b) + L), L the bit length
+    of min(len): it is a sum of at most min(len) products, each below
+    2**(bits(a) + bits(b)).
     """
     if out_len <= 0:
         return []
     a, b = a[:out_len], b[:out_len]
     if not a or not b:
         return [0] * out_len
-    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-    kb = (bits + min(len(a), len(b)).bit_length() + 9) // 8  # bytes per slot
+    kb = slot_bytes(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                    + min(len(a), len(b)).bit_length())
     return unpack(pack(a, kb) * pack(b, kb), kb, out_len)

@@ -123,28 +123,15 @@ def _apply_factor(c, d, s, e, n):
     c[:] = _kernels.conv(c, fc, n)
 
 
-# (a, m) -> (n, terms, k): the terms (d, sign) of theta(a, m) with 0 < d < n,
-# ascending, the first k of them below _THETA_BLOCK; emptied when it
-# reaches _THETA_TERMS_MAX keys.
-_THETA_TERMS = {}
-_THETA_TERMS_MAX = 256
-
-
 def _theta_terms(a, m, n):
-    """(terms, k) of theta(a, m), with every term below q^n and maybe more."""
-    hit = _THETA_TERMS.get((a, m))
-    if hit is None or hit[0] < n:
-        terms = []
-        for step in (1, -1):
-            k = step
-            while (d := m * k * (k - 1) // 2 + a * k) < n:
-                terms.append((d, -1 if k % 2 else 1))
-                k += step
-        terms.sort()
-        if len(_THETA_TERMS) >= _THETA_TERMS_MAX:
-            _THETA_TERMS.clear()
-        hit = _THETA_TERMS[a, m] = (n, terms, sum(d < _THETA_BLOCK for d, _ in terms))
-    return hit[1:]
+    """The terms (d, sign) of theta(a, m) with 0 < d < n, ascending."""
+    terms = []
+    for step in (1, -1):
+        k = step
+        while (d := m * k * (k - 1) // 2 + a * k) < n:
+            terms.append((d, -1 if k % 2 else 1))
+            k += step
+    return sorted(terms)
 
 
 def _theta_pass(c, a, m, e):
@@ -164,15 +151,14 @@ def _theta_pass(c, a, m, e):
     For e < 0, c is divided |e| times by the unit-constant recurrence over
     blocks of _THETA_BLOCK indices: a term with d >= _THETA_BLOCK reads
     only finished values, so it is one slice update per block, and the
-    recurrence runs over the few shorter terms alone.  The term lists are
-    built once per (a, m) (``_theta_terms``).
+    recurrence runs over the few shorter terms alone.  Each pass builds
+    its own term list (``_theta_terms``), which costs microseconds.
     """
     n = len(c)
-    terms, k = _theta_terms(a, m, n)
+    terms = _theta_terms(a, m, n)
     if e > 0:
-        terms = [t for t in terms if t[0] < n]
         growth = min(e * (len(terms) + 1).bit_length(), comb(n - 1 + e, e).bit_length())
-        kb = (max(map(abs, c)).bit_length() + growth) // 8 + 1
+        kb = _kernels.slot_bytes(max(map(abs, c)).bit_length() + growth)
         x = _kernels.pack(c, kb)
         c.clear()
         shifts = [(8 * kb * d, s > 0) for d, s in terms]
@@ -187,6 +173,7 @@ def _theta_pass(c, a, m, e):
             x = y & mask
         c[:] = _kernels.unpack(x, kb, n)
         return
+    k = sum(d < _THETA_BLOCK for d, _ in terms)
     near, far = terms[:k], terms[k:]
     for _ in range(-e):
         # the first block: no far term reaches it, and a near term only from i = d

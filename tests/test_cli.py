@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qdissect import registry as registry_mod, signscan
 from qdissect.cli import main
 from qdissect.series import MAX_LENGTH
 
@@ -133,6 +134,63 @@ def test_signs_command_and_csv(tmp_path, capsys):
     assert rows[0] == "n,coefficient,residue,verdict"
     assert rows[1] == "0,1,0,ok"
     assert len(rows) == 61
+
+
+def test_verify_mismatch_reports_the_first_differing_coefficient(capsys):
+    code, out, _ = run(capsys, "verify", "G(q)", "H(q)", "--order", "5", "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "id": "adhoc", "order": 5, "passed": False, "mismatch_exponent": 1,
+        "lhs_coefficient": "1", "rhs_coefficient": "0",
+    }
+
+
+def test_verify_evaluation_error_is_a_failed_report(capsys):
+    code, out, err = run(capsys, "verify", "1/(q-q)", "1", "--order", "5")
+    assert (code, err) == (1, "")
+    assert out.startswith("FAIL  adhoc  order=5  (NonUnitLeadingCoefficient: ")
+
+
+@pytest.mark.parametrize("numerator, want", [
+    ("G(q)", {"mismatch_exponent": 1, "lhs_coefficient": "-8", "rhs_coefficient": "0"}),
+    ("G(q", {"error": "ParseError"}),
+], ids=["off-support", "parse-error"])
+def test_pipeline_support_step_failures(tmp_path, capsys, numerator, want):
+    # beta's auxiliary product over a wrong numerator leaves exponents != 0 mod 5
+    source = Path(registry_mod.__file__).parent / "data" / "identities.json"
+    data = json.loads(source.read_text())
+    data["pipelines"]["beta"]["aux"]["numerator"] = numerator
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "pipeline", "--registry", str(path), "--target", "beta",
+                       "--order", "50", "--json")
+    assert code == 1
+    reports = {r["id"]: r for r in map(json.loads, out.splitlines())}
+    support = reports.pop("pi-beta-q5-support")
+    assert all(r["passed"] for r in reports.values())
+    assert support["passed"] is False
+    if "error" in want:
+        assert support["error"].startswith(want["error"] + ": ")
+    else:
+        assert {k: support[k] for k in want} == want
+
+
+def test_signs_violations_are_reported(capsys, monkeypatch):
+    # gamma's residue classes swapped: every coefficient below 8 violates
+    monkeypatch.setitem(signscan.DEFAULT_RULES, "gamma", signscan.SignRule(5, {1, 3}, {0, 2, 4}))
+    code, out, _ = run(capsys, "signs", "--which", "gamma", "--order", "8")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL  gamma  n<8")
+    assert [l.split(":")[0] for l in lines[1:]] == [f"  violation at n={n}" for n in range(8)]
+    code, out, _ = run(capsys, "signs", "--which", "gamma", "--order", "8", "--json")
+    assert code == 1
+    violations = json.loads(out)["violations"]
+    assert [v["n"] for v in violations] == list(range(8))
+    for v in violations:
+        assert set(v) == {"n", "coefficient", "residue", "expected"}
+        assert isinstance(v["coefficient"], str) and int(v["coefficient"]) != 0
+        assert v["residue"] == v["n"] % 5
 
 
 def test_list_command(capsys):

@@ -45,6 +45,27 @@ def test_slot_boundary(bits):
                 assert _kernels.conv(b[:length // 2], a, n) == naive_conv(b[:length // 2], a, n)
 
 
+@pytest.mark.parametrize("ba, bb", [(8, 8), (8, 9), (32, 32), (64, 65)])
+def test_slot_holds_the_longest_sum_of_largest_products(ba, bb):
+    # out[126] of two 127-term lists is 127 products (2^ba - 1)(2^bb - 1),
+    # just under 2^(ba + bb + 7): with ba + bb + 7 = 7 or 0 (mod 8) it
+    # fills the top bits of its slot
+    x, y = 2**ba - 1, 2**bb - 1
+    for sign in (1, -1):
+        assert _kernels.conv([x] * 127, [sign * y] * 127, 127) == [
+            (i + 1) * sign * x * y for i in range(127)]
+
+
+def test_slot_bytes_holds_the_bound_and_a_sign_bit():
+    for b in range(301):
+        kb = _kernels.slot_bytes(b)
+        for x in (2**b - 1, 1 - 2**b):
+            assert _kernels.unpack(_kernels.pack([x, -x, x], kb), kb, 3) == [x, -x, x]
+        if b % 8 == 7:  # the bound plus a sign bit fills the slot
+            with pytest.raises(OverflowError):
+                (2**b - 1).to_bytes(kb - 1, "little", signed=True)
+
+
 def test_zero_skipping_paths():
     a = [0, 3, 0, 0, -2, 0]
     b = [0] * 6 + [7]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qdissect import _kernels, products
 from qdissect.exprlang import Evaluator, evaluate
 from qdissect.products import (
-    _THETA_BLOCK, PochFactor, QProduct, _apply_factor, _theta_pass,
+    _THETA_BLOCK, PochFactor, QProduct, _apply_factor, _theta_pass, _theta_terms,
 )
 from qdissect.registry import load_registry
 from qdissect.series import Series
@@ -350,6 +350,33 @@ def test_theta_pass_matches_series_mul_and_invert(am, n, seed, e):
         want = want.mul(factor)
     _theta_pass(c, a, m, e)
     assert Series(0, c, n) == want
+
+
+def test_theta_terms_are_exactly_the_terms_below_q_n():
+    # longest first, so that terms kept from a longer call would show
+    for m in range(2, 13):
+        for a in range(1, m):
+            every = sorted((m * k * (k - 1) // 2 + a * k, (-1) ** abs(k))
+                           for k in range(-200, 201) if k)
+            for n in range(200, 0, -1):
+                assert _theta_terms(a, m, n) == [t for t in every if t[0] < n]
+            # the lowest terms are q^a and q^(m-a)
+            assert _theta_terms(a, m, min(a, m - a)) == []
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, -1, -2, -3])
+def test_theta_pass_at_changing_lengths(e):
+    # one (a, m) at long, short, long, one-term and block-edge lengths in turn
+    rng = random.Random(e)
+    for n in (400, 7, 400, 1, _THETA_BLOCK, _THETA_BLOCK + 1):
+        c = [rng.choice((-1, 1)) * rng.getrandbits(70) for _ in range(n)]
+        theta = theta_series(2, 5, n)
+        factor = theta if e > 0 else theta.invert()
+        want = Series(0, c, n)
+        for _ in range(abs(e)):
+            want = want.mul(factor)
+        _theta_pass(c, 2, 5, e)
+        assert Series(0, c, n) == want
 
 
 def pentagonal_terms(count):
