@@ -40,7 +40,7 @@ class Value:
             args = self._bind(args, kwargs)
         if self._check is not None:
             args = self._check(*args)
-        # the evaluator builds nodes on its hot path; an index is cheaper than zip
+        # the evaluator builds a Series per operation; an index is cheaper than zip
         i = 0
         for set_field in setters:
             set_field(self, args[i])

@@ -19,11 +19,12 @@ from .exprlang import Evaluator
 
 
 def _emit(args, payload, text_lines):
+    """Print payload() as JSON with --json, else each line of text_lines()."""
     if args.json:
-        json.dump(payload, sys.stdout, indent=1)
+        json.dump(payload(), sys.stdout, indent=1)
         sys.stdout.write("\n")
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -37,7 +38,7 @@ def _series_lines(s, label=None):
 
 def cmd_expand(args):
     s = Evaluator().eval(args.expr, args.order)
-    _emit(args, {"expr": args.expr, "series": s.to_json()}, _series_lines(s))
+    _emit(args, lambda: {"expr": args.expr, "series": s.to_json()}, lambda: _series_lines(s))
     return 0
 
 
@@ -47,15 +48,11 @@ def cmd_dissect(args):
     s = Evaluator().eval(args.expr, args.order)
     d = dissection.dissect(s, args.mod)
     wanted = range(args.mod) if args.slice is None else [args.slice]
-    payload = {
-        "expr": args.expr,
-        "modulus": args.mod,
-        "slices": {str(l): d.slices[l].to_json() for l in wanted},
-    }
-    lines = []
-    for l in wanted:
-        lines.extend(_series_lines(d.slices[l], label=f"slice {l}:"))
-    _emit(args, payload, lines)
+    _emit(args,
+          lambda: {"expr": args.expr, "modulus": args.mod,
+                   "slices": {str(l): d.slices[l].to_json() for l in wanted}},
+          lambda: [line for l in wanted
+                   for line in _series_lines(d.slices[l], label=f"slice {l}:")])
     return 0
 
 
@@ -80,7 +77,7 @@ def cmd_prodmake(args):
                 lines.append(f"#   (1+q^n)^{e} for n = {r} (mod {pv.modulus})")
             if pv.leading_exceptions:
                 lines.append(f"#   leading exceptions: {pv.leading_exceptions}")
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0
 
 
@@ -155,17 +152,16 @@ def cmd_signs(args):
             f"  violation at n={v.n}: coefficient {v.coefficient}"
             f" (residue {v.residue}, expected {v.expected})"
         )
-    _emit(args, report.to_json(), lines)
+    _emit(args, report.to_json, lambda: lines)
     return 0 if report.passed else 1
 
 
 def cmd_list(args):
     reg = registry_mod.load_registry(args.registry)
-    payload = [
-        {"id": r.id, "order": r.suggested_order, "note": r.note} for r in reg
-    ]
-    lines = [f"{r.id:24s} order={r.suggested_order:<4d} {r.note}" for r in reg]
-    _emit(args, {"identities": payload}, lines)
+    _emit(args,
+          lambda: {"identities": [{"id": r.id, "order": r.suggested_order, "note": r.note}
+                                  for r in reg]},
+          lambda: [f"{r.id:24s} order={r.suggested_order:<4d} {r.note}" for r in reg])
     return 0
 
 

@@ -4,11 +4,9 @@ A ``QProduct`` is a finite list of factors (s*q^j; q^m)^e with s = +-1.
 ``product_expand`` plans it (``_plan``) as passes over one coefficient
 list: Jacobi-triple-product theta series (Garvan 1999, "A q-product
 tutorial for a q-series MAPLE package"; Hirschhorn 2017, "The Power of
-q"), each with O(sqrt(N/m)) terms below q^N, so that multiplying by
-theta(a, m)^e is e rounds of O(sqrt(N/m)) shift-adds on the list packed
-into one integer, dividing is an O(N*sqrt(N/m)) pass of list-slice updates
-per power (``_theta_pass``), and, for unpaired factors, one O(N) dense
-pass per linear factor (``_apply_factor``).
+q"), each with O(sqrt(N/m)) terms below q^N, so that theta(a, m)^e is
+one ``_kernels.sparse_power`` of those terms (``_theta_pass``), and, for
+unpaired factors, one O(N) dense pass per linear factor (``_apply_factor``).
 
 Each part runs on its coarsest grid (``_run``).  A pass whose offset and
 modulus are multiples of h lies on q^h.  The passes on the grid that saves
@@ -37,10 +35,6 @@ from operator import add, sub
 from . import _kernels
 from ._value import Value
 from .series import Series, check_length
-
-# Block length of a dividing theta pass: terms with d at least this long
-# read only finished values and become one slice update per block.
-_THETA_BLOCK = 64
 
 # A memo of ``product_expand`` keeps at most _MEMO_MAX sub-products, each
 # at most _MEMO_LEN long: most reuse is of short ones, soon after storing.
@@ -135,59 +129,10 @@ def _theta_terms(a, m, n):
 
 
 def _theta_pass(c, a, m, e):
-    """Multiply c in place by theta(a, m)^e, where
-    theta(a, m) = sum_k (-1)^k q^(m*k*(k-1)/2 + a*k), 0 < a < m, is
-    (q^a;q^m)(q^(m-a);q^m)(q^m;q^m) by the Jacobi triple product.
-
-    For e > 0, c is packed once into one integer x, k bits per coefficient
-    (``_kernels.pack``), and each of the e multiplications is T shift-adds,
-    x <- x + sum_d s_d * (x << k*d) mod 2**(k*n), for the T terms s_d*q^d
-    with 0 < d < n.  Setting q = 2**k is a ring homomorphism from series
-    mod q^n onto integers mod 2**(k*n), so only the final coefficients have
-    to fit their slots: each is at most max|c| times the l1 norm of
-    theta^e mod q^n, which is at most (T+1)^e and, by the majorant
-    1/(1-q)^e, at most C(n-1+e, e).
-
-    For e < 0, c is divided |e| times by the unit-constant recurrence over
-    blocks of _THETA_BLOCK indices: a term with d >= _THETA_BLOCK reads
-    only finished values, so it is one slice update per block, and the
-    recurrence runs over the few shorter terms alone.  Each pass builds
-    its own term list (``_theta_terms``), which costs microseconds.
-    """
-    n = len(c)
-    terms = _theta_terms(a, m, n)
-    if e > 0:
-        growth = min(e * (len(terms) + 1).bit_length(), comb(n - 1 + e, e).bit_length())
-        kb = _kernels.slot_bytes(max(map(abs, c)).bit_length() + growth)
-        x = _kernels.pack(c, kb)
-        c.clear()
-        shifts = [(8 * kb * d, s > 0) for d, s in terms]
-        mask = (1 << (8 * kb * n)) - 1
-        for _ in range(e):
-            y = x
-            for shift, plus in shifts:
-                if plus:
-                    y += x << shift
-                else:
-                    y -= x << shift
-            x = y & mask
-        c[:] = _kernels.unpack(x, kb, n)
-        return
-    k = sum(d < _THETA_BLOCK for d, _ in terms)
-    near, far = terms[:k], terms[k:]
-    for _ in range(-e):
-        # the first block: no far term reaches it, and a near term only from i = d
-        for i in range(1, min(_THETA_BLOCK, n)):
-            c[i] -= sum([s * c[i - d] for d, s in near if d <= i])
-        for lo in range(_THETA_BLOCK, n, _THETA_BLOCK):
-            hi = min(lo + _THETA_BLOCK, n)
-            for d, s in far:
-                if d >= hi:
-                    break
-                start = max(lo, d)
-                c[start:hi] = map(sub if s > 0 else add, c[start:hi], c[start - d:hi - d])
-            for i in range(lo, hi):
-                c[i] -= sum([s * c[i - d] for d, s in near])
+    """Multiply c in place by theta(a, m)^e, where theta(a, m) =
+    sum_k (-1)^k q^(m*k*(k-1)/2 + a*k) = (q^a;q^m)(q^(m-a);q^m)(q^m;q^m),
+    0 < a < m, by the Jacobi triple product: a sparse power of its terms."""
+    _kernels.sparse_power(c, _theta_terms(a, m, len(c)), e)
 
 
 def poch_expand(f, n):

@@ -10,7 +10,7 @@ import pytest
 
 from qdissect import registry as registry_mod, signscan
 from qdissect.cli import main
-from qdissect.series import MAX_LENGTH
+from qdissect.series import MAX_LENGTH, Series
 
 
 def run(capsys, *argv):
@@ -47,6 +47,23 @@ def test_dissect_slice(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["slices"]["4"]["valuation"] == 1  # alpha(4) = 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "R(q)", "--order", "30"),
+    ("dissect", "R(q)*R(q^2)^2", "--mod", "5", "--order", "40"),
+    ("dissect", "G(q)", "--mod", "5", "--order", "40", "--slice", "3"),
+], ids=["expand", "dissect", "dissect-slice"])
+def test_text_mode_builds_no_json(capsys, monkeypatch, argv):
+    # text output never renders the JSON payload that it does not print
+    code, want, _ = run(capsys, *argv)
+    assert code == 0 and want
+
+    def refuse(self):
+        raise AssertionError("Series.to_json called in text mode")
+
+    monkeypatch.setattr(Series, "to_json", refuse)
+    assert run(capsys, *argv) == (0, want, "")
 
 
 def test_dissect_mod_one_is_identity(capsys):

@@ -1,5 +1,8 @@
+import random
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdissect import _kernels
@@ -58,9 +61,10 @@ def test_slot_holds_the_longest_sum_of_largest_products(ba, bb):
 
 def test_slot_bytes_holds_the_bound_and_a_sign_bit():
     for b in range(301):
-        kb = _kernels.slot_bytes(b)
+        kb = _kernels._slot_bytes(b)
+        top = _kernels._top(kb, 3)
         for x in (2**b - 1, 1 - 2**b):
-            assert _kernels.unpack(_kernels.pack([x, -x, x], kb), kb, 3) == [x, -x, x]
+            assert _kernels._unpack(_kernels._pack([x, -x, x], kb, top), kb, 3, top) == [x, -x, x]
         if b % 8 == 7:  # the bound plus a sign bit fills the slot
             with pytest.raises(OverflowError):
                 (2**b - 1).to_bytes(kb - 1, "little", signed=True)
@@ -76,3 +80,95 @@ def test_zero_skipping_paths():
     assert _kernels.conv([0, 0], [0, 0, 0], 4) == [0] * 4
     assert _kernels.conv(a, b, 0) == []
     assert _kernels.conv(a, b, -3) == []
+
+
+def test_one_slot_mask_per_call():
+    # conv packs both operands and unpacks its product with one mask, sized
+    # for the output; a multiplying sparse_power packs and unpacks with one,
+    # and a dividing one packs nothing
+    a, b = [3, -1, 0, 7], [-2, 5]
+    with mock.patch.object(_kernels, "_top", wraps=_kernels._top) as tops:
+        for n in (1, 3, 5, 12):
+            assert _kernels.conv(a, b, n) == naive_conv(a, b, n)
+            assert _kernels.conv(b, a, n) == naive_conv(b, a, n)
+        assert tops.call_count == 8
+        assert _kernels.conv(a, [], 5) == [0] * 5
+        assert _kernels.conv([], b, 5) == [0] * 5
+        assert tops.call_count == 8
+        for e in (1, 3):
+            c = [1, 2, 3, 4, 5]
+            _kernels.sparse_power(c, [(1, -1), (3, 1)], e)
+            assert c == naive_sparse_power([1, 2, 3, 4, 5], [(1, -1), (3, 1)], e)
+        assert tops.call_count == 10
+        c = [1, 2, 3, 4, 5]
+        _kernels.sparse_power(c, [(1, -1), (3, 1)], -2)
+        assert c == naive_sparse_power([1, 2, 3, 4, 5], [(1, -1), (3, 1)], -2)
+        assert tops.call_count == 10
+
+
+def naive_sparse_power(c, terms, e):
+    """Oracle: c times P^e mod q^n, P = 1 + sum s*q^d, by repeated naive
+    products and, for e < 0, long division by P^|e|."""
+    n = len(c)
+    p = [1] + [0] * (n - 1)
+    for d, s in terms:
+        p[d] = s
+    power = [1] + [0] * (n - 1)
+    for _ in range(abs(e)):
+        power = naive_conv(power, p, n)
+    if e > 0:
+        return naive_conv(c, power, n)
+    quotient = []
+    for i in range(n):
+        quotient.append(c[i] - sum(power[j] * quotient[i - j] for j in range(1, i + 1)))
+    return quotient
+
+
+@pytest.mark.parametrize("bits", [7, 15, 63])
+def test_sparse_power_slot_holds_the_largest_coefficients(bits):
+    # every |c[i]| is 2^bits - 1, which leaves its slot only the sign bit
+    # spare, and every term of P is +1: out[n-1] is max|c| times the l1
+    # norm of P^e mod q^n, the bound the slot must hold; for the dense P it
+    # is C(n-1+e, e) exactly
+    x = 2**bits - 1
+    for n, terms in ((5, [(1, 1)]), (40, [(d, 1) for d in range(1, 40)]),
+                     (65, [(1, 1), (3, 1), (64, 1)])):
+        for e in (1, 2, 3, 4):
+            for sign in (1, -1):
+                c = [sign * x] * n
+                expected = naive_sparse_power(c, terms, e)
+                _kernels.sparse_power(c, terms, e)
+                assert c == expected
+
+
+LENGTHS = st.sampled_from([1, 2, 63, 64, 65, 128, 129, 400])
+
+
+def sparse_terms(n):
+    """Ascending terms (d, s) with distinct 0 < d < n and s = +-1."""
+    if n < 2:
+        return st.just([])
+    return st.lists(st.integers(1, n - 1), unique=True).flatmap(
+        lambda ds: st.lists(st.sampled_from((-1, 1)), min_size=len(ds), max_size=len(ds))
+        .map(lambda ss: sorted(zip(ds, ss))))
+
+
+# the block length of a dividing pass is 64: a term at d = 63 is near (in
+# the per-index recurrence), one at d = 64 far (a slice update per block)
+@given(LENGTHS.flatmap(lambda n: st.tuples(st.just(n), sparse_terms(n))),
+       st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), st.integers(0, 2**32))
+@example((64, [(63, 1)]), -1, 1)
+@example((65, [(64, -1)]), -2, 2)
+@example((129, [(63, -1), (64, 1)]), -3, 3)
+@example((129, [(63, -1), (64, 1)]), 2, 4)
+@example((400, [(1, 1), (63, -1), (64, -1), (399, 1)]), -4, 5)
+@example((400, [(1, 1), (63, -1), (64, -1), (399, 1)]), 4, 6)
+@settings(deadline=None)
+def test_sparse_power_matches_naive(case, e, seed):
+    # mixed-sign coefficients of up to 200 bits times an arbitrary sparse P^e
+    n, terms = case
+    rng = random.Random(seed)
+    c = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 200)) for _ in range(n)]
+    expected = naive_sparse_power(c, terms, e)
+    _kernels.sparse_power(c, terms, e)
+    assert c == expected

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from qdissect import _kernels, products
 from qdissect.exprlang import Evaluator, evaluate
-from qdissect.products import (
-    _THETA_BLOCK, PochFactor, QProduct, _apply_factor, _theta_pass, _theta_terms,
-)
+from qdissect._kernels import _BLOCK
+from qdissect.products import PochFactor, QProduct, _apply_factor, _theta_pass, _theta_terms
 from qdissect.registry import load_registry
 from qdissect.series import Series
 
@@ -274,7 +273,7 @@ def test_each_multiplying_theta_entry_packs_once_and_never_convolves():
     assert len(sources) == 4
     for source in sources:
         with mock.patch.object(products, "_theta_pass", wraps=products._theta_pass) as passes, \
-                mock.patch.object(_kernels, "pack", wraps=_kernels.pack) as packs, \
+                mock.patch.object(_kernels, "_pack", wraps=_kernels._pack) as packs, \
                 mock.patch.object(_kernels, "conv", wraps=_kernels.conv) as convs:
             assert Evaluator().eval(source, 600).order == 600
         powers = [e for (_, _, _, e), _ in passes.call_args_list]
@@ -327,10 +326,10 @@ POWERS = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
 
 
 @given(THETA_PARAMS, st.integers(1, 400), st.integers(0, 2**32), POWERS)
-@example((2, 5), _THETA_BLOCK, 1, -1)
-@example((4, 10), _THETA_BLOCK + 1, 2, -2)
-@example((1, 2), 2 * _THETA_BLOCK + 1, 3, -1)
-@example((9, 12), 3 * _THETA_BLOCK, 4, -3)  # a term at d = 63 = _THETA_BLOCK - 1
+@example((2, 5), _BLOCK, 1, -1)
+@example((4, 10), _BLOCK + 1, 2, -2)
+@example((1, 2), 2 * _BLOCK + 1, 3, -1)
+@example((9, 12), 3 * _BLOCK, 4, -3)  # a term at d = 63 = _BLOCK - 1
 @example((1, 5), 1, 5, 1)
 @example((2, 3), 2, 6, 3)
 @example((1, 5), 513, 7, 4)
@@ -368,7 +367,7 @@ def test_theta_terms_are_exactly_the_terms_below_q_n():
 def test_theta_pass_at_changing_lengths(e):
     # one (a, m) at long, short, long, one-term and block-edge lengths in turn
     rng = random.Random(e)
-    for n in (400, 7, 400, 1, _THETA_BLOCK, _THETA_BLOCK + 1):
+    for n in (400, 7, 400, 1, _BLOCK, _BLOCK + 1):
         c = [rng.choice((-1, 1)) * rng.getrandbits(70) for _ in range(n)]
         theta = theta_series(2, 5, n)
         factor = theta if e > 0 else theta.invert()
