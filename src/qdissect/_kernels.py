@@ -6,13 +6,17 @@ coefficient, the two are multiplied once by CPython's Karatsuba, and the
 k-bit slots of the product are its coefficients (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution",
 J. Symbolic Comput. 44, 2009).  ``sparse_power`` multiplies a list by a
-power of a sparse series with unit coefficients, such as a theta series.
+power of a sparse series with unit coefficients, such as a theta series:
+to multiply, by shift-adds on the packed list; to divide, by a recurrence
+that sums each block's far terms in one zip and reads the near terms of
+each index through itemgetters over one window.
 The slot format (``_pack``, ``_unpack``, ``_slot_bytes``) is private here,
 and each call builds its slot mask (``_top``) once.
 """
 
+from bisect import bisect_left, bisect_right
 from math import comb
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 BACKEND = "python"
 
@@ -21,6 +25,16 @@ BACKEND = "python"
 _PACK_SLOTS = 256
 
 _BLOCK = 64  # the block length of a dividing ``sparse_power``
+
+
+def _getter(offsets):
+    """A callable taking a list to the tuple of its items at offsets."""
+    if len(offsets) > 1:
+        return itemgetter(*offsets)
+    if offsets:
+        j, = offsets
+        return lambda x: (x[j],)
+    return lambda x: ()
 
 
 def _top(kb, n):
@@ -77,7 +91,8 @@ def conv(a, b, out_len):
 
 def sparse_power(c, terms, e):
     """Multiply c in place by P^e mod q^n, n = len(c), e != 0, where
-    P = 1 + sum s*q^d over the ascending terms (d, s), 0 < d < n, s = +-1.
+    P = 1 + sum s*q^d over the ascending terms (d, s), 0 < d, s = +-1; a
+    term with d >= n does not act mod q^n.
 
     For e > 0, c is packed once into one integer x, k bits per coefficient,
     and each of the e multiplications is T shift-adds,
@@ -87,10 +102,14 @@ def sparse_power(c, terms, e):
     is at most max|c| times the l1 norm of P^e mod q^n, which is at most
     (T+1)^e and, by the majorant 1/(1-q)^e, at most C(n-1+e, e).
 
-    For e < 0, c is divided |e| times by the unit-constant recurrence over
-    blocks of _BLOCK indices: a term with d >= _BLOCK reads only finished
-    values, so it is one slice update per block, and the recurrence runs
-    over the few shorter terms alone.
+    For e < 0, c is divided |e| times by the unit-constant recurrence
+    c[i] -= sum_d s * c[i-d], over blocks [lo, hi) of _BLOCK indices.  A far
+    term, d >= _BLOCK, reads only finished values: the windows c[lo-d:hi-d]
+    of the far terms with d <= lo are summed in one zip per sign and
+    applied as one slice update, and a term with lo < d < hi is a slice
+    update of its own.  The near terms, d < _BLOCK, run index by index:
+    from the largest near d, w, on, each index takes one slice c[i-w:i], and
+    one itemgetter per sign picks its near terms out of it in C.
     """
     n = len(c)
     if e > 0:
@@ -113,16 +132,23 @@ def sparse_power(c, terms, e):
         return
     k = sum(d < _BLOCK for d, _ in terms)
     near, far = terms[:k], terms[k:]
+    # below the smallest near d an index reads no near term; from the
+    # largest, w, on, it reads them all from one window c[i-w:i]
+    lead, w = (near[0][0], near[-1][0]) if near else (n, n)
+    plus = _getter([w - d for d, s in near if s > 0])
+    minus = _getter([w - d for d, s in near if s < 0])
+    far_ds = ([d for d, s in far if s > 0], sub), ([d for d, s in far if s < 0], add)
     for _ in range(-e):
-        # the first block: no far term reaches it, and a near term only from i = d
-        for i in range(1, min(_BLOCK, n)):
+        for i in range(lead, min(w, n)):
             c[i] -= sum([s * c[i - d] for d, s in near if d <= i])
-        for lo in range(_BLOCK, n, _BLOCK):
+        for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
-            for d, s in far:
-                if d >= hi:
-                    break
-                start = max(lo, d)
-                c[start:hi] = map(sub if s > 0 else add, c[start:hi], c[start - d:hi - d])
-            for i in range(lo, hi):
-                c[i] -= sum([s * c[i - d] for d, s in near])
+            for ds, op in far_ds:
+                j = bisect_right(ds, lo)
+                if j:
+                    c[lo:hi] = map(op, c[lo:hi], map(sum, zip(*[c[lo - d:hi - d] for d in ds[:j]])))
+                for d in ds[j:bisect_left(ds, hi, j)]:
+                    c[d:hi] = map(op, c[d:hi], c[:hi - d])
+            for i in range(max(lo, w), hi):
+                x = c[i - w:i]
+                c[i] += sum(minus(x)) - sum(plus(x))

@@ -108,11 +108,13 @@ def test_one_slot_mask_per_call():
 
 def naive_sparse_power(c, terms, e):
     """Oracle: c times P^e mod q^n, P = 1 + sum s*q^d, by repeated naive
-    products and, for e < 0, long division by P^|e|."""
+    products and, for e < 0, long division by P^|e|; terms at or past q^n
+    do not act."""
     n = len(c)
     p = [1] + [0] * (n - 1)
     for d, s in terms:
-        p[d] = s
+        if d < n:
+            p[d] = s
     power = [1] + [0] * (n - 1)
     for _ in range(abs(e)):
         power = naive_conv(power, p, n)
@@ -122,6 +124,15 @@ def naive_sparse_power(c, terms, e):
     for i in range(n):
         quotient.append(c[i] - sum(power[j] * quotient[i - j] for j in range(1, i + 1)))
     return quotient
+
+
+def test_getter_returns_a_tuple_for_any_number_of_offsets():
+    # the dividing recurrence sums what the getter returns, so one offset
+    # gives a 1-tuple (not a bare item) and none an empty tuple
+    x = [5, 6, 7]
+    assert _kernels._getter([0, 2])(x) == (5, 7)
+    assert _kernels._getter([2])(x) == (7,)
+    assert _kernels._getter([])(x) == ()
 
 
 @pytest.mark.parametrize("bits", [7, 15, 63])
@@ -154,7 +165,10 @@ def sparse_terms(n):
 
 
 # the block length of a dividing pass is 64: a term at d = 63 is near (in
-# the per-index recurrence), one at d = 64 far (a slice update per block)
+# the per-index recurrence, read through one itemgetter per sign from index
+# w, the largest near d, on), one at d = 64 far (summed with the other far
+# terms of its sign per block, or its own slice update in the block it
+# starts in)
 @given(LENGTHS.flatmap(lambda n: st.tuples(st.just(n), sparse_terms(n))),
        st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), st.integers(0, 2**32))
 @example((64, [(63, 1)]), -1, 1)
@@ -163,6 +177,13 @@ def sparse_terms(n):
 @example((129, [(63, -1), (64, 1)]), 2, 4)
 @example((400, [(1, 1), (63, -1), (64, -1), (399, 1)]), -4, 5)
 @example((400, [(1, 1), (63, -1), (64, -1), (399, 1)]), 4, 6)
+@example((129, [(5, 1)]), -2, 7)  # one near term: a one-index and an empty getter
+@example((200, [(2, -1), (9, -1), (40, -1), (70, 1), (90, 1)]), -1, 8)  # near terms of one sign
+@example((129, [(100, 1)]), -1, 9)  # a far term starting inside a block: 64 < 100 < 128
+@example((200, [(3, 1), (100, -1), (130, 1), (150, -1)]), -3, 10)
+@example((40, [(2, 1), (50, -1)]), -2, 11)  # n <= w: the window loop never starts
+@example((40, [(2, 1), (39, -1)]), -3, 12)  # n = w + 1: one window
+@example((40, [(2, 1), (50, -1)]), 3, 13)
 @settings(deadline=None)
 def test_sparse_power_matches_naive(case, e, seed):
     # mixed-sign coefficients of up to 200 bits times an arbitrary sparse P^e
