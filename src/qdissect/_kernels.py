@@ -9,7 +9,8 @@ J. Symbolic Comput. 44, 2009).  ``sparse_power`` multiplies a list by a
 power of a sparse series with unit coefficients, such as a theta series:
 to multiply, by shift-adds on the packed list; to divide, by a recurrence
 that sums each block's far terms in one zip and reads the near terms of
-each index through itemgetters over one window.
+each index through itemgetters over one window.  ``matches_product``
+checks a list against a product prod (1-q^d)^a on one packed integer.
 The slot format (``_pack``, ``_unpack``, ``_slot_bytes``) is private here,
 and each call builds its slot mask (``_top``) once.
 """
@@ -152,3 +153,49 @@ def sparse_power(c, terms, e):
             for i in range(max(lo, w), hi):
                 x = c[i - w:i]
                 c[i] += sum(minus(x)) - sum(plus(x))
+
+
+def matches_product(c, exponents, bits):
+    """Whether c == prod (1-q^d)^a mod q^n, n = len(c), over the pairs
+    (d, a) of ``exponents`` (d >= n does not act), given that every
+    coefficient of that product below q^n is below 2**bits in absolute value.
+
+    As in ``sparse_power``, q = 2**k maps series mod q^n onto integers mod
+    2**(k*n), k = 8*kb, and the map is one-to-one on series whose
+    coefficients fit a k-bit slot with a sign bit.  So the product is built
+    from x = 1 in one integer, kept mod 2**(k*n) only through its shifted
+    copies, and compared with the packed c, never unpacked: only c and the
+    product, not the partial products, must fit the slot
+    ``_slot_bytes(max(bits, bits of max|c|))``.  A factor (1-q^d) is
+    x -= x << k*d and 1/(1-q^d) the doubling product (1+q^d)(1+q^2d)...,
+    one shift-add each, every shifted copy cut to n slots.  A factor power
+    with |a| > 8, (1-q^d)^a = 1 + q^d * v below q^n by the binomial series,
+    is x += q^d * x * v: one multiplication by v at q = 2**k.
+    """
+    n = len(c)
+    kb = _slot_bytes(max(bits, max(map(abs, c), default=0).bit_length()))
+    k = 8 * kb
+    mask = (1 << k * n) - 1
+    x = 1
+    for d, a in exponents:
+        if d >= n:
+            continue
+        if abs(a) > 8:
+            # v = sum_(i>0) C(a, i) (-1)^i q^(d(i-1)); for a > 0 it ends at i = a
+            low = (1 << k * (n - d)) - 1
+            v, b, i = 0, -a, 1
+            while b and d * i < n:
+                v += b << k * d * (i - 1)
+                b = -b * (a - i) // (i + 1)
+                i += 1
+            x += ((x & low) * (v & low) & low) << k * d
+        elif a > 0:
+            for _ in range(a):
+                x -= (x & (mask >> k * d)) << k * d
+        else:
+            for _ in range(-a):
+                j = d
+                while j < n:
+                    x += (x & (mask >> k * j)) << k * j
+                    j *= 2
+    return (x - _pack(c, kb, _top(kb, n))) & mask == 0

@@ -101,7 +101,12 @@ class Series(Value):
     # -- ring operations ---------------------------------------------------
 
     def add(self, other):
+        # a zero operand leaves the other one, truncated to the common order
         order = min(self.order, other.order)
+        if self.is_zero():
+            return other.truncate(order)
+        if other.is_zero():
+            return self.truncate(order)
         lo = min(self.val, other.val)
         hi = min(max(self.val + len(self.coeffs), other.val + len(other.coeffs)), order)
         check_length(hi - lo)

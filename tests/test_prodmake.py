@@ -2,13 +2,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qdissect import products
+from qdissect import _kernels, load_registry, products
 from qdissect.errors import NotUnit, OrderExceeded
 from qdissect.exprlang import Evaluator
 from qdissect.products import PochFactor, QProduct
 from qdissect.prodmake import (
     EtaExponents,
     PeriodView,
+    _product_bits,
+    _reexpands_to,
     detect_period,
     expand_exponents,
     prodmake,
@@ -125,6 +127,94 @@ def test_expand_exponents_of_a_theorem_slice_at_length_400():
     want = naive_product(table, 400)
     assert want == f.coeffs[::5]
     assert expand_exponents(table, 400).coefficients(0, 400) == want
+
+
+# -- the packed re-expansion check -------------------------------------------
+
+# mixed signs, |a| <= 12 (both sides of the binomial-series switch at 8), and
+# factors at or past the length n
+exponent_tables = st.dictionaries(st.integers(1, 50), st.integers(-12, 12).filter(bool), max_size=8)
+HUGE = st.sampled_from([2**1100, -(2**1100), 2**1100 + 7, -(3**700) - 1, 2**3000])
+
+
+def max_bits(c):
+    return max(map(abs, c)).bit_length()
+
+
+@given(exponent_tables, st.integers(1, 50))
+@example({1: -12, 2: 9, 3: -1}, 1)
+@example({1: 12, 2: -9}, 2)
+@example({40: -3}, 30)
+@settings(max_examples=150, deadline=None)
+def test_packed_check_accepts_the_product(exponents, n):
+    want = naive_product(exponents, n)
+    assert want == expand_exponents(exponents, n).coefficients(0, n)
+    assert max_bits(want) <= _product_bits(exponents, n)
+    assert _reexpands_to(exponents, want)
+
+
+@given(st.dictionaries(st.integers(1, 9), HUGE, min_size=1, max_size=3),
+       exponent_tables, st.integers(1, 12))
+@example({1: 2**1100}, {}, 1)
+@example({1: -(2**1100)}, {}, 2)
+@example({3: 2**3000, 1: -(2**1100)}, {2: 5}, 12)
+@settings(max_examples=40, deadline=None)
+def test_packed_check_with_exponents_past_float_range(huge, exponents, n):
+    # a >= 2**1100 overflows a float; the dense expansion is the oracle
+    exponents = {**exponents, **huge}
+    want = expand_exponents(exponents, n).coefficients(0, n)
+    assert max_bits(want) <= _product_bits(exponents, n)
+    assert _reexpands_to(exponents, want)
+
+
+@given(exponent_tables, st.integers(1, 50), st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_check_rejects_one_coefficient_off_by_one(exponents, n, data):
+    c = naive_product(exponents, n)
+    c[data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([-1, 1]))
+    assert not _reexpands_to(exponents, c)
+
+
+@given(exponent_tables, st.integers(2, 50), st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_check_rejects_a_forgery_that_agrees_at_q_equal_2_to_the_slot(exponents, n, data):
+    # f' = f + 2^k q^i - q^(i+1) has the value of f at q = 2^k, k the slot f
+    # alone would get; only a slot sized for f' as well tells them apart
+    c = naive_product(exponents, n)
+    i = data.draw(st.integers(0, n - 2))
+    k = 8 * _kernels._slot_bytes(max(_product_bits(exponents, n), max_bits(c)))
+    forged = list(c)
+    forged[i] += 1 << k
+    forged[i + 1] -= 1
+    value = lambda xs: sum(x << k * j for j, x in enumerate(xs))
+    assert value(forged) == value(c)
+    assert _reexpands_to(exponents, c) and not _reexpands_to(exponents, forged)
+
+
+def test_product_bits_bound_the_theorem_slices_at_length_400():
+    # each slice of the four 5-dissections at order 2000 is F(q^5), F of
+    # length 400; the bound must hold and stay within two slot bytes
+    reg, ev = load_registry(), Evaluator()
+    slot_bytes = []
+    for target in ("alpha", "beta", "gamma", "delta"):
+        for _, _, jptext in reg.dissection(target).terms:
+            f = ev.eval(jptext, 2000)
+            table = {k // 5: a for k, a in prodmake(f, 2000).exponents.items()}
+            true = max_bits(f.coeffs[::5])
+            bound = _product_bits(table, 400)
+            assert true <= bound
+            assert _kernels._slot_bytes(bound) <= _kernels._slot_bytes(true) + 2
+            slot_bytes.append(_kernels._slot_bytes(bound))
+    assert len(slot_bytes) == 20 and max(slot_bytes) <= 16
+
+
+def test_prodmake_checks_on_the_packed_path(monkeypatch):
+    # the dense re-expansion is the tests' oracle only; prodmake never runs it
+    def dense(*args):
+        raise AssertionError("dense re-expansion called")
+
+    monkeypatch.setattr("qdissect.prodmake._apply_factor", dense)
+    assert prodmake(Series(0, [1, -2, 1], 3), 3).exponents == {1: 2}
 
 
 def test_partial_gcd_support_and_constant_are_not_compressed():

@@ -391,6 +391,18 @@ def test_add_and_sub_match_index_loops(a, b):
     assert (None if d.is_zero() else d.val) == first_difference_by_index(a, b)
 
 
+@pytest.mark.parametrize("zero_order", [-5, -2, 0, 3, 9])
+def test_adding_zero_gives_the_other_operand_truncated(zero_order):
+    # a Laurent operand; the zero's order lies below, inside and past its support
+    s = Series(-3, [2, 0, -7, 1, 5], 4)
+    z = Series.zero(zero_order)
+    got = z.add(s)
+    assert got == s.add(z) == s.sub(z) == z.sub(s).negate()
+    assert got.order == min(4, zero_order)
+    assert got.terms() == [(e, c) for e, c in s.terms() if e < zero_order]
+    assert z.add(z) == z
+
+
 @given(truncated_series_st(), st.integers(1, 6))
 @example(Series.zero(4), 3)
 @example(Series.zero(-2), 1)
