@@ -10,13 +10,15 @@ power of a sparse series with unit coefficients, such as a theta series:
 to multiply, by shift-adds on the packed list; to divide, by a recurrence
 that sums each block's far terms in one zip and reads the near terms of
 each index through itemgetters over one window.  ``matches_product``
-checks a list against a product prod (1-q^d)^a on one packed integer.
-The slot format (``_pack``, ``_unpack``, ``_slot_bytes``) is private here,
-and each call builds its slot mask (``_top``) once.
+checks a list against a product prod (1-q^d)^a on one packed integer,
+with slots sized by a saddle-point bound on the product (``_product_bits``).
+Each kernel sizes its slots from its own arguments.  The slot format
+(``_pack``, ``_unpack``, ``_slot_bytes``) is private here, and each call
+builds its slot mask (``_top``) once.
 """
 
 from bisect import bisect_left, bisect_right
-from math import comb
+from math import comb, exp, frexp, inf, log1p
 from operator import add, itemgetter, sub
 
 BACKEND = "python"
@@ -26,6 +28,11 @@ BACKEND = "python"
 _PACK_SLOTS = 256
 
 _BLOCK = 64  # the block length of a dividing ``sparse_power``
+
+# ``_product_bits`` ends its search once its two probes agree within half
+# a nat (0.72 bits), or after this many golden-section steps
+_SEARCH_STEPS = 40
+_LN2 = 0.6931471805599453  # just below log 2, so dividing by it rounds up
 
 
 def _getter(offsets):
@@ -155,31 +162,89 @@ def sparse_power(c, terms, e):
                 c[i] += sum(minus(x)) - sum(plus(x))
 
 
-def matches_product(c, exponents, bits):
+def _product_bits(pairs, n):
+    """A bit length b with |P_i| < 2**b for every i < n, where P =
+    prod (1-q^k)^a over the pairs (k, a), each with 0 < k < n and a != 0.
+
+    The majorant M = prod_{a>0} (1+q^k)^a * prod_{a<0} (1-q^k)^a has
+    nonnegative coefficients and |P_i| <= M_i, so |P_i| <= M(r) r^-(n-1)
+    for every 0 < r < 1 (a saddle-point bound).  With r = e^-t,
+    phi = log M(r) - (n-1) log r = sum a*log1p(sign(a) e^-kt) + (n-1) t
+    is convex in t.  A golden-section search over log t from 1/(2n) to
+    t_hi keeps the least phi it sees.  At t_hi, the largest
+    (bits(a) + bits(n)) log 2 / k, every |a| e^-kt is at most 1/n: phi is
+    finite there and grows past it.  Every t gives a bound, and a relative
+    margin covers rounding.  An |a| past float range enters through
+    bits(a) log 2 >= log|a|, as a*log1p(x) <= a*x and
+    a*log1p(-x) <= |a|*x/(1-x).
+    """
+    plus, minus, huge, t_hi = [], [], [], 0
+    for k, a in pairs:
+        if a.bit_length() > 900:
+            huge.append((k, a.bit_length() * _LN2, a > 0))
+        else:
+            (plus if a > 0 else minus).append((k, float(a)))
+        t_hi = max(t_hi, (a.bit_length() + n.bit_length()) * _LN2 / k)
+    if not t_hi:
+        return 1
+
+    def phi(u):
+        t = exp(u)
+        total = ((n - 1) * t + sum(a * log1p(exp(-k * t)) for k, a in plus)
+                 + sum(a * log1p(-exp(-k * t)) for k, a in minus))
+        for k, la, positive in huge:
+            v = la - k * t
+            if v > 700:
+                return inf
+            total += exp(v) if positive else exp(v) / (1 - exp(-k * t))
+        return total
+
+    lo = -(2 * n).bit_length() * _LN2
+    top = hi = frexp(t_hi)[1] * _LN2
+    g = 0.618  # golden section
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = phi(c), phi(d)
+    best = min(fc, fd)
+    for _ in range(_SEARCH_STEPS):
+        if abs(fc - fd) < 0.5:
+            break
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = phi(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = phi(d)
+        best = min(best, fc, fd)
+    if best == inf:
+        best = phi(top)
+    return int(best * (1 + 1e-6) / _LN2) + 1
+
+
+def matches_product(c, exponents):
     """Whether c == prod (1-q^d)^a mod q^n, n = len(c), over the pairs
-    (d, a) of ``exponents`` (d >= n does not act), given that every
-    coefficient of that product below q^n is below 2**bits in absolute value.
+    (d, a) of ``exponents``; a pair with d >= n does not act.
 
     As in ``sparse_power``, q = 2**k maps series mod q^n onto integers mod
     2**(k*n), k = 8*kb, and the map is one-to-one on series whose
     coefficients fit a k-bit slot with a sign bit.  So the product is built
     from x = 1 in one integer, kept mod 2**(k*n) only through its shifted
     copies, and compared with the packed c, never unpacked: only c and the
-    product, not the partial products, must fit the slot
-    ``_slot_bytes(max(bits, bits of max|c|))``.  A factor (1-q^d) is
+    product, not the partial products, must fit the slot, sized by
+    ``_product_bits`` and the bits of max|c|.  A factor (1-q^d) is
     x -= x << k*d and 1/(1-q^d) the doubling product (1+q^d)(1+q^2d)...,
     one shift-add each, every shifted copy cut to n slots.  A factor power
     with |a| > 8, (1-q^d)^a = 1 + q^d * v below q^n by the binomial series,
     is x += q^d * x * v: one multiplication by v at q = 2**k.
     """
     n = len(c)
-    kb = _slot_bytes(max(bits, max(map(abs, c), default=0).bit_length()))
+    pairs = [(d, a) for d, a in exponents if 0 < d < n and a]
+    kb = _slot_bytes(max(_product_bits(pairs, n), max(map(abs, c), default=0).bit_length()))
     k = 8 * kb
     mask = (1 << k * n) - 1
     x = 1
-    for d, a in exponents:
-        if d >= n:
-            continue
+    for d, a in pairs:
         if abs(a) > 8:
             # v = sum_(i>0) C(a, i) (-1)^i q^(d(i-1)); for a > 0 it ends at i = a
             low = (1 << k * (n - d)) - 1

@@ -13,27 +13,19 @@ for every 5-dissection slice), is recovered from F at order ceil(n/g): t
 and the divisor sums both scale by g, so a_(gk) = b_k and every other a_n
 is 0, as ``products._run`` runs the passes on a grid q^h at ceil(n/h).
 
-Every result is checked: the recovered product must re-expand to F.  The
-check runs on one packed integer (``_kernels.matches_product``), whose
-slots only need to hold F and the product's coefficients; ``_product_bits``
-bounds those by a saddle-point bound on the product's majorant, 8-14 bits
-above their true size (70-106 bits) on the 5-dissection slices.
-``expand_exponents``, the dense re-expansion, stays the public one and the
-tests' oracle for the check.
+Every result is checked: the recovered product must re-expand to F, on
+one packed integer (``_kernels.matches_product``).  ``expand_exponents``,
+the dense re-expansion, stays the public one and the tests' oracle for the
+check.
 """
 
-from math import exp, frexp, gcd, inf, log1p
+from math import gcd
 
 from . import _kernels
 from ._value import Value
 from .errors import NotUnit, OrderExceeded
 from .series import Series
 from .products import _apply_factor
-
-# ``_product_bits`` ends its search once its two probes agree within half
-# a nat (0.72 bits), or after this many golden-section steps
-_SEARCH_STEPS = 40
-_LN2 = 0.6931471805599453  # just below log 2, so dividing by it rounds up
 
 
 class PeriodView(Value):
@@ -92,76 +84,8 @@ def expand_exponents(exponents, n):
     c[0] = 1
     for k, a in sorted(exponents.items()):
         if 0 < k < n and a:
-            _apply_factor(c, k, 1, a, n)
+            _apply_factor(c, k, 1, a)
     return Series(0, c, n)
-
-
-def _product_bits(exponents, n):
-    """A bit length b with |P_i| < 2**b for every i < n, where P =
-    prod (1-q^k)^(a_k) over the exponents with 0 < k < n.
-
-    The majorant M = prod_{a>0} (1+q^k)^a * prod_{a<0} (1-q^k)^a has
-    nonnegative coefficients and |P_i| <= M_i, so |P_i| <= M(r) r^-(n-1)
-    for every 0 < r < 1 (a saddle-point bound).  With r = e^-t,
-    phi = log M(r) - (n-1) log r = sum a*log1p(sign(a) e^-kt) + (n-1) t
-    is convex in t.  A golden-section search over log t from 1/(2n) to
-    t_hi keeps the least phi it sees.  At t_hi, the largest
-    (bits(a) + bits(n)) log 2 / k, every |a| e^-kt is at most 1/n: phi is
-    finite there and grows past it.  Every t gives a bound, and a relative
-    margin covers rounding.  An |a| past float range enters through
-    bits(a) log 2 >= log|a|, as a*log1p(x) <= a*x and
-    a*log1p(-x) <= |a|*x/(1-x).
-    """
-    plus, minus, huge, t_hi = [], [], [], 0
-    for k, a in exponents.items():
-        if 0 < k < n and a:
-            if a.bit_length() > 900:
-                huge.append((k, a.bit_length() * _LN2, a > 0))
-            else:
-                (plus if a > 0 else minus).append((k, float(a)))
-            t_hi = max(t_hi, (a.bit_length() + n.bit_length()) * _LN2 / k)
-    if not t_hi:
-        return 1
-
-    def phi(u):
-        t = exp(u)
-        total = ((n - 1) * t + sum(a * log1p(exp(-k * t)) for k, a in plus)
-                 + sum(a * log1p(-exp(-k * t)) for k, a in minus))
-        for k, la, positive in huge:
-            v = la - k * t
-            if v > 700:
-                return inf
-            total += exp(v) if positive else exp(v) / (1 - exp(-k * t))
-        return total
-
-    lo = -(2 * n).bit_length() * _LN2
-    top = hi = frexp(t_hi)[1] * _LN2
-    g = 0.618  # golden section
-    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
-    fc, fd = phi(c), phi(d)
-    best = min(fc, fd)
-    for _ in range(_SEARCH_STEPS):
-        if abs(fc - fd) < 0.5:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - g * (hi - lo)
-            fc = phi(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + g * (hi - lo)
-            fd = phi(d)
-        best = min(best, fc, fd)
-    if best == inf:
-        best = phi(top)
-    return int(best * (1 + 1e-6) / _LN2) + 1
-
-
-def _reexpands_to(exponents, coeffs):
-    """Whether prod (1-q^k)^(a_k) equals coeffs below q^len(coeffs), on one
-    packed integer with slots sized by ``_product_bits``."""
-    n = len(coeffs)
-    return _kernels.matches_product(coeffs, exponents.items(), _product_bits(exponents, n))
 
 
 def prodmake(f, n):
@@ -185,7 +109,7 @@ def prodmake(f, n):
                 divsum[mult] += k * a
     # soundness: the recovered product must reproduce the input exactly;
     # the check is packed, the dense ``expand_exponents`` its test oracle
-    if not _reexpands_to(exponents, f.coefficients(0, m)):
+    if not _kernels.matches_product(f.coefficients(0, m), exponents.items()):
         raise AssertionError("product re-expansion does not match input")
     return EtaExponents({g * k: a for k, a in exponents.items()}, n)
 

@@ -78,8 +78,8 @@ class QProduct(Value):
         )
 
 
-def _apply_factor(c, d, s, e, n):
-    """Multiply the coefficient list c by (1 - s*q^d)^e in place.
+def _apply_factor(c, d, s, e):
+    """Multiply the list c by (1 - s*q^d)^e mod q^n in place, n = len(c).
 
     Small |e| uses one O(n) pass per power, made of list-slice updates.
     Multiplying subtracts s times the shifted input, one slice update.
@@ -91,6 +91,7 @@ def _apply_factor(c, d, s, e, n):
     the binomial series of the factor power and does a single convolution
     instead.
     """
+    n = len(c)
     if abs(e) <= 8:
         if d >= n:
             return
@@ -238,7 +239,7 @@ def _run(passes, n, memo):
             _theta_pass(c, a, m, e)
         else:
             for d in range(a, n, m):
-                _apply_factor(c, d, 1, e, n)
+                _apply_factor(c, d, 1, e)
     return c
 
 
@@ -279,7 +280,7 @@ def _rr_sum(n, step_bump):
         if shift_total >= n:
             break
         t = [0] * (2 * k - 1 + step_bump) + t[: n - (2 * k - 1 + step_bump)]
-        _apply_factor(t, k, 1, -1, n)
+        _apply_factor(t, k, 1, -1)
         out[shift_total:] = map(add, out[shift_total:], t[shift_total:])
     return Series(0, out, n)
 

@@ -40,7 +40,7 @@ class Series(Value):
         if i == n:
             return order, [], order
         if val + n > order:
-            n = order - val
+            n = max(order - val, 0)
         j = n
         while j > i and coeffs[j - 1] == 0:
             j -= 1
@@ -48,8 +48,6 @@ class Series(Value):
         val += i
         if not coeffs:
             return order, [], order
-        if order <= val:
-            raise ValueError("order must exceed valuation of a nonzero series")
         return val, coeffs, order
 
     # -- constructors -----------------------------------------------------

@@ -9,8 +9,6 @@ from qdissect.products import PochFactor, QProduct
 from qdissect.prodmake import (
     EtaExponents,
     PeriodView,
-    _product_bits,
-    _reexpands_to,
     detect_period,
     expand_exponents,
     prodmake,
@@ -141,6 +139,11 @@ def max_bits(c):
     return max(map(abs, c)).bit_length()
 
 
+def product_bits(exponents, n):
+    """``_kernels._product_bits`` on the pairs that act below q^n."""
+    return _kernels._product_bits([(k, a) for k, a in exponents.items() if 0 < k < n and a], n)
+
+
 @given(exponent_tables, st.integers(1, 50))
 @example({1: -12, 2: 9, 3: -1}, 1)
 @example({1: 12, 2: -9}, 2)
@@ -149,8 +152,8 @@ def max_bits(c):
 def test_packed_check_accepts_the_product(exponents, n):
     want = naive_product(exponents, n)
     assert want == expand_exponents(exponents, n).coefficients(0, n)
-    assert max_bits(want) <= _product_bits(exponents, n)
-    assert _reexpands_to(exponents, want)
+    assert max_bits(want) <= product_bits(exponents, n)
+    assert _kernels.matches_product(want, exponents.items())
 
 
 @given(st.dictionaries(st.integers(1, 9), HUGE, min_size=1, max_size=3),
@@ -163,8 +166,8 @@ def test_packed_check_with_exponents_past_float_range(huge, exponents, n):
     # a >= 2**1100 overflows a float; the dense expansion is the oracle
     exponents = {**exponents, **huge}
     want = expand_exponents(exponents, n).coefficients(0, n)
-    assert max_bits(want) <= _product_bits(exponents, n)
-    assert _reexpands_to(exponents, want)
+    assert max_bits(want) <= product_bits(exponents, n)
+    assert _kernels.matches_product(want, exponents.items())
 
 
 @given(exponent_tables, st.integers(1, 50), st.data())
@@ -172,7 +175,7 @@ def test_packed_check_with_exponents_past_float_range(huge, exponents, n):
 def test_packed_check_rejects_one_coefficient_off_by_one(exponents, n, data):
     c = naive_product(exponents, n)
     c[data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([-1, 1]))
-    assert not _reexpands_to(exponents, c)
+    assert not _kernels.matches_product(c, exponents.items())
 
 
 @given(exponent_tables, st.integers(2, 50), st.data())
@@ -182,13 +185,22 @@ def test_packed_check_rejects_a_forgery_that_agrees_at_q_equal_2_to_the_slot(exp
     # alone would get; only a slot sized for f' as well tells them apart
     c = naive_product(exponents, n)
     i = data.draw(st.integers(0, n - 2))
-    k = 8 * _kernels._slot_bytes(max(_product_bits(exponents, n), max_bits(c)))
+    k = 8 * _kernels._slot_bytes(max(product_bits(exponents, n), max_bits(c)))
     forged = list(c)
     forged[i] += 1 << k
     forged[i + 1] -= 1
     value = lambda xs: sum(x << k * j for j, x in enumerate(xs))
     assert value(forged) == value(c)
-    assert _reexpands_to(exponents, c) and not _reexpands_to(exponents, forged)
+    assert _kernels.matches_product(c, exponents.items())
+    assert not _kernels.matches_product(forged, exponents.items())
+
+
+def test_packed_check_sizes_its_slot_for_the_list_as_well():
+    # pairs with d >= n or a = 0 do not act; where the product is 1 or
+    # small, the slot must still hold max|c|
+    assert _kernels.matches_product([1, 0, 0], [])
+    assert not _kernels.matches_product([1, 2**70], [(5, 3)])
+    assert _kernels.matches_product([1, -1, 0], [(1, 1), (2, 0), (4, 7)])
 
 
 def test_product_bits_bound_the_theorem_slices_at_length_400():
@@ -201,7 +213,7 @@ def test_product_bits_bound_the_theorem_slices_at_length_400():
             f = ev.eval(jptext, 2000)
             table = {k // 5: a for k, a in prodmake(f, 2000).exponents.items()}
             true = max_bits(f.coeffs[::5])
-            bound = _product_bits(table, 400)
+            bound = product_bits(table, 400)
             assert true <= bound
             assert _kernels._slot_bytes(bound) <= _kernels._slot_bytes(true) + 2
             slot_bytes.append(_kernels._slot_bytes(bound))

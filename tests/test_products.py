@@ -39,7 +39,7 @@ def dense_expand(p, n):
     c[0] = 1
     for f in p.factors:
         for d in range(f.offset, n, f.modulus):
-            _apply_factor(c, d, f.sign, f.power, n)
+            _apply_factor(c, d, f.sign, f.power)
     return c
 
 
@@ -456,7 +456,7 @@ def test_apply_factor_matches_index_loop(n, d, s, e, seed):
     want = c[:]
     index_loop_factor(want, d, s, e, n)
     with mock.patch.object(products, "accumulate", wraps=products.accumulate) as sums:
-        _apply_factor(c, d, s, e, n)
+        _apply_factor(c, d, s, e)
     assert c == want
     # the d*d < n threshold only sets the cost, so values cannot show it:
     # residue-class sums run exactly for divisions by (1 - q^d)^(<=8), d*d < n

@@ -64,6 +64,12 @@ def test_normalization_strips_zeros():
     assert s.val == 4 and s.coeffs == [3, 0, 1]
 
 
+def test_a_run_that_starts_past_the_order_is_the_zero_series():
+    # the cut at the order must not go negative and count from the end
+    assert Series(5, [1], 3) == Series.zero(3)
+    assert Series(5, [1, 2, 3], 3) == Series.zero(3)
+
+
 def test_coefficient_and_order_exceeded():
     s = make_series([(1, 5)], 4)
     assert s.coefficient(1) == 5
