@@ -115,7 +115,7 @@ def cmd_verify(args):
     elif args.id:
         if args.id not in reg.by_id:
             raise UsageError(f"no registry identity named {args.id!r}")
-        reports = [registry_mod.verify_by_id(reg, args.id, order=args.order, evaluator=ev)]
+        reports = [registry_mod.verify(reg.record(args.id), order=args.order, evaluator=ev)]
     elif args.lhs and args.rhs:
         rec = registry_mod.IdentityRecord("adhoc", args.lhs, args.rhs,
                                           args.order or 100, "")

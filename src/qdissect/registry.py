@@ -1,9 +1,12 @@
 """The identity registry and its verifier.
 
 Each record pairs two expression-language transcriptions of one displayed
-identity; ``verify`` expands both sides and reports the first mismatching
+identity; ``load_registry`` checks each JSON entry as it builds it.
+``verify`` expands both sides and reports the first mismatching
 coefficient, if any.  ``verify_proof_pipeline`` replays the auxiliary-product
-proof route for the four 5-dissection theorems step by step.
+proof route for the four 5-dissection theorems step by step; its
+q^5-support step compares an expansion with its own part on exponents
+= 0 mod 5.  Every report comes from one comparison of two series.
 """
 
 import json
@@ -12,6 +15,7 @@ import os
 from ._value import Value
 from .errors import QSeriesError, RegistryError
 from .exprlang import Evaluator
+from .series import Series
 
 PIPELINE_TARGETS = ("alpha", "beta", "gamma", "delta")
 
@@ -91,13 +95,14 @@ def load_registry(path=None):
     shape = {"identities": list, "dissections": dict, "pipelines": dict}
     if not isinstance(data, dict) or not all(isinstance(data.get(k), t) for k, t in shape.items()):
         raise fail("top level needs a list 'identities' and objects 'dissections' and 'pipelines'")
-    ids = set()
+    records, ids, dissections = [], set(), {}
     for i, r in enumerate(data["identities"]):
         if not (_typed(r, str, "id", "lhs", "rhs") and _typed(r, int, "order") and r["order"] >= 1):
             raise fail(f"identity {i} needs string id, lhs and rhs and an integer order >= 1")
         if r["id"] in ids:
             raise fail(f"identity id {r['id']!r} is listed twice")
         ids.add(r["id"])
+        records.append(IdentityRecord(r["id"], r["lhs"], r["rhs"], r["order"], r.get("note", "")))
     for tgt, d in data["dissections"].items():
         if not (_typed(d, str, "source", "record") and _typed(d, int, "modulus", "period")
                 and min(d["modulus"], d["period"]) >= 1 and isinstance(d.get("terms"), list)
@@ -108,6 +113,10 @@ def load_registry(path=None):
                        "shift and string jp")
         if d["record"] not in ids:
             raise fail(f"dissection {tgt!r} names unknown identity {d['record']!r}")
+        dissections[tgt] = DissectionSpec(
+            tgt, d["source"], d["record"], d["modulus"], d["period"],
+            tuple((t["scale"], t["shift"], t["jp"]) for t in d["terms"]),
+        )
     for tgt, p in data["pipelines"].items():
         if not (isinstance(p, dict) and isinstance(p.get("steps"), list) and p["steps"]
                 and all(isinstance(sid, str) for sid in p["steps"])):
@@ -119,51 +128,39 @@ def load_registry(path=None):
         unknown = [sid for sid in p["steps"] if sid not in ids]
         if unknown:
             raise fail(f"pipeline {tgt!r} names unknown identity {unknown[0]!r}")
-    records = [
-        IdentityRecord(r["id"], r["lhs"], r["rhs"], r["order"], r.get("note", ""))
-        for r in data["identities"]
-    ]
-    dissections = {
-        tgt: DissectionSpec(
-            tgt,
-            d["source"],
-            d["record"],
-            d["modulus"],
-            d["period"],
-            tuple((t["scale"], t["shift"], t["jp"]) for t in d["terms"]),
-        )
-        for tgt, d in data["dissections"].items()
-    }
     return Registry(records, dissections, data["pipelines"])
 
 
-def verify(rec, order=None, evaluator=None):
-    """Expand lhs - rhs to the working order and report the outcome.
+def _report(id_, n, sides):
+    """Compare the two series that sides() computes to order n.
 
     Expansion failures (bad parse, non-unit division) land in the report
     instead of propagating; a registry typo should read as a failure.
     """
-    n = order or rec.suggested_order
-    ev = evaluator or Evaluator()
     try:
-        lhs = ev.eval(rec.lhs, n)
-        rhs = ev.eval(rec.rhs, n)
+        lhs, rhs = sides()
     except QSeriesError as exc:
-        return VerifyReport(rec.id, n, False, error=f"{type(exc).__name__}: {exc}")
+        return VerifyReport(id_, n, False, error=f"{type(exc).__name__}: {exc}")
     diff = lhs.sub(rhs)
     if diff.is_zero():
-        return VerifyReport(rec.id, n, True)
+        return VerifyReport(id_, n, True)
     e = diff.val  # the first trusted exponent where the sides differ
     return VerifyReport(
-        rec.id, n, False,
+        id_, n, False,
         mismatch_exponent=e,
         lhs_coefficient=lhs.coefficient(e),
         rhs_coefficient=rhs.coefficient(e),
     )
 
 
-def verify_by_id(registry, id_, order=None, evaluator=None):
-    return verify(registry.record(id_), order=order, evaluator=evaluator)
+def verify(rec, order=None, evaluator=None):
+    """Expand lhs and rhs to the working order and report the outcome.
+
+    An expansion failure is a failed report, not an exception (``_report``).
+    """
+    n = rec.suggested_order if order is None else order
+    ev = evaluator or Evaluator()
+    return _report(rec.id, n, lambda: (ev.eval(rec.lhs, n), ev.eval(rec.rhs, n)))
 
 
 def verify_all(registry, order=None, evaluator=None):
@@ -173,19 +170,17 @@ def verify_all(registry, order=None, evaluator=None):
 
 
 def _support_step(step_id, text, n, evaluator):
-    """Check that an expression is supported on exponents = 0 mod 5."""
-    try:
+    """Check that an expression is supported on exponents = 0 mod 5.
+
+    Its expansion is compared with that expansion's own part on those
+    exponents, so a failure names the first exponent off them.
+    """
+    def sides():
         s = evaluator.eval(text, n)
-    except QSeriesError as exc:
-        return VerifyReport(step_id, n, False, error=f"{type(exc).__name__}: {exc}")
-    bad = [e for e, _ in s.terms() if e % 5]
-    if not bad:
-        return VerifyReport(step_id, n, True)
-    e = bad[0]
-    return VerifyReport(
-        step_id, n, False,
-        mismatch_exponent=e, lhs_coefficient=s.coefficient(e), rhs_coefficient=0,
-    )
+        return s, Series(s.val, [0 if (s.val + i) % 5 else c for i, c in enumerate(s.coeffs)],
+                         s.order)
+
+    return _report(step_id, n, sides)
 
 
 def verify_proof_pipeline(registry, target, order=300, evaluator=None):
@@ -204,14 +199,11 @@ def verify_proof_pipeline(registry, target, order=300, evaluator=None):
     if plan is None:
         raise RegistryError(f"registry has no pipeline for target {target!r}")
     ev = evaluator or Evaluator()
-    reports = []
-    steps = list(plan["steps"])
+    lemma, *rest = plan["steps"]
     aux = plan["aux"]
     # the lemma step comes first; the computed support step follows it
-    reports.append(verify_by_id(registry, steps[0], order=order, evaluator=ev))
+    reports = [verify(registry.record(lemma), order=order, evaluator=ev)]
     if aux is not None:
         text = f"({aux['factor1']})*({aux['factor2']})/({aux['numerator']})"
         reports.append(_support_step(f"pi-{target}-q5-support", text, order, ev))
-    for sid in steps[1:]:
-        reports.append(verify_by_id(registry, sid, order=order, evaluator=ev))
-    return reports
+    return reports + [verify(registry.record(sid), order=order, evaluator=ev) for sid in rest]

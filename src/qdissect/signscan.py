@@ -109,19 +109,12 @@ def scan(name, rule=None, n=1000, series=None):
     return ScanReport(name, n, rule, tuple(violations), tuple(zeros))
 
 
-def scan_rows(report, series):
-    """(n, coefficient, residue, verdict) rows of the series the report scanned."""
-    bad = {v.n for v in report.violations}
-    return [
-        (i, c, i % report.rule.modulus, "violation" if i in bad else "ok")
-        for i, c in enumerate(series.coefficients(0, report.order))
-    ]
-
-
 def write_csv(fh, report, series):
+    """One row (n, coefficient, residue, verdict) per coefficient the report scanned."""
     import csv  # only the --csv report needs it
 
+    bad = {v.n for v in report.violations}
     w = csv.writer(fh)
     w.writerow(["n", "coefficient", "residue", "verdict"])
-    for row in scan_rows(report, series):
-        w.writerow(row)
+    w.writerows((i, c, i % report.rule.modulus, "violation" if i in bad else "ok")
+                for i, c in enumerate(series.coefficients(0, report.order)))

@@ -247,44 +247,55 @@ def with_dissection(**fields):
 
 
 PIPELINE_ALPHA = ("pipeline", "--target", "alpha")
+TOP_LEVEL = "top level needs a list 'identities' and objects 'dissections' and 'pipelines'"
+BAD_DISSECTION = ("dissection 'alpha' needs string source and record, integer modulus and "
+                  "period >= 1 and a list terms of objects with integer scale and shift and "
+                  "string jp")
+BAD_AUX = ("pipeline 'alpha' needs an aux that is null or an object with string factor1, "
+           "factor2 and numerator")
 
 
 @pytest.mark.parametrize(
-    "registry, command",
-    [(r, ("verify", "--all")) for r in [
-        {"identities": [{"id": "x", "lhs": "q", "rhs": "q"}], "dissections": {},
-         "pipelines": {}},
-        {"identities": [], "pipelines": {}},
-        [],
-        {"identities": [REC, REC], "dissections": {}, "pipelines": {}},
-        {"identities": [REC], "dissections": {"alpha": {}}, "pipelines": {}},
-        with_dissection(modulus=0),
-        with_dissection(period="50"),
-        with_dissection(terms={}),
-        with_dissection(terms=[{"scale": 1, "shift": 0.5, "jp": "JP(;q;q)"}]),
-        with_dissection(terms=[{"scale": 1, "shift": 0}]),
-        with_dissection(record="nope"),
-        {"identities": [REC], "dissections": {}, "pipelines": {"alpha": {"aux": None}}},
-        {"identities": [REC], "dissections": {},
-         "pipelines": {"alpha": {"steps": ["x", "nope"], "aux": None}}},
-        {"identities": [REC], "dissections": {}, "pipelines": {"alpha": {"steps": ["x"]}}},
-        {"identities": [REC], "dissections": {},
-         "pipelines": {"alpha": {"steps": ["x"], "aux": {"factor1": "q", "factor2": "q"}}}},
-    ]] + [({"identities": [REC], "dissections": {}, "pipelines": {}}, PIPELINE_ALPHA)],
+    "registry, command, message",
+    [(r, ("verify", "--all"), "registry {path}: " + m) for r, m in [
+        ({"identities": [{"id": "x", "lhs": "q", "rhs": "q"}], "dissections": {},
+          "pipelines": {}},
+         "identity 0 needs string id, lhs and rhs and an integer order >= 1"),
+        ({"identities": [], "pipelines": {}}, TOP_LEVEL),
+        ([], TOP_LEVEL),
+        ({"identities": [REC, REC], "dissections": {}, "pipelines": {}},
+         "identity id 'x' is listed twice"),
+        ({"identities": [REC], "dissections": {"alpha": {}}, "pipelines": {}}, BAD_DISSECTION),
+        (with_dissection(modulus=0), BAD_DISSECTION),
+        (with_dissection(period="50"), BAD_DISSECTION),
+        (with_dissection(terms={}), BAD_DISSECTION),
+        (with_dissection(terms=[{"scale": 1, "shift": 0.5, "jp": "JP(;q;q)"}]), BAD_DISSECTION),
+        (with_dissection(terms=[{"scale": 1, "shift": 0}]), BAD_DISSECTION),
+        (with_dissection(record="nope"), "dissection 'alpha' names unknown identity 'nope'"),
+        ({"identities": [REC], "dissections": {}, "pipelines": {"alpha": {"aux": None}}},
+         "pipeline 'alpha' needs a nonempty list of string steps"),
+        ({"identities": [REC], "dissections": {},
+          "pipelines": {"alpha": {"steps": ["x", "nope"], "aux": None}}},
+         "pipeline 'alpha' names unknown identity 'nope'"),
+        ({"identities": [REC], "dissections": {}, "pipelines": {"alpha": {"steps": ["x"]}}},
+         BAD_AUX),
+        ({"identities": [REC], "dissections": {},
+          "pipelines": {"alpha": {"steps": ["x"], "aux": {"factor1": "q", "factor2": "q"}}}},
+         BAD_AUX),
+    ]] + [({"identities": [REC], "dissections": {}, "pipelines": {}}, PIPELINE_ALPHA,
+           "registry has no pipeline for target 'alpha'")],
     ids=["record-without-order", "no-dissections", "top-level-list", "duplicate-ids",
          "empty-dissection", "modulus-zero", "period-string", "terms-not-list",
          "term-float-shift", "term-without-jp", "unknown-dissection-record",
          "pipeline-without-steps", "unknown-pipeline-step", "pipeline-without-aux",
          "aux-without-numerator", "no-pipeline-for-target"],
 )
-def test_registry_schema_errors_are_one_line(tmp_path, capsys, registry, command):
+def test_registry_schema_errors_are_one_line(tmp_path, capsys, registry, command, message):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(registry))
     code, out, err = run(capsys, *command, "--registry", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: RegistryError: registry ")
-    assert len(err.splitlines()) == 1
+    assert (code, out) == (2, "")
+    assert err == f"error: RegistryError: {message.format(path=path)}\n"
 
 
 @pytest.mark.parametrize(

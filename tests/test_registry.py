@@ -3,7 +3,7 @@ import pytest
 from qdissect.errors import RegistryError
 from qdissect.exprlang import Evaluator, parse
 from qdissect.registry import (
-    IdentityRecord, load_registry, verify, verify_all, verify_by_id,
+    IdentityRecord, VerifyReport, _support_step, load_registry, verify, verify_all,
     verify_proof_pipeline,
 )
 
@@ -140,6 +140,35 @@ def test_pipeline_structure(reg):
         assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("run", [
+    lambda reg: verify(reg.record("alpha-5dis"), order=0),
+    lambda reg: verify_all(reg, order=0),
+    lambda reg: verify_proof_pipeline(reg, "alpha", order=0),
+    lambda reg: verify_proof_pipeline(reg, "beta", order=0),
+], ids=["verify", "verify-all", "pipeline-alpha", "pipeline-beta"])
+def test_order_zero_is_refused(reg, run):
+    # 0 is an order, not "use the suggested one"
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        run(reg)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("q^-5+q^-3", {"mismatch_exponent": -3, "lhs_coefficient": 1, "rhs_coefficient": 0}),
+    ("q^-5*G(q)", {"mismatch_exponent": -4, "lhs_coefficient": 1, "rhs_coefficient": 0}),
+    ("q^-5+q^5", None),
+    ("0*q", None),
+    ("1/(1-q^5)", None),
+    ("G(q", {"error": "ParseError: expected ')' (at offset 3)"}),
+], ids=["laurent-off-support", "laurent-product", "laurent-on-support", "zero",
+        "inverse-on-support", "parse-error"])
+def test_support_step_edges(text, want):
+    report = _support_step("s", text, 10, Evaluator())
+    if want is None:
+        assert report == VerifyReport("s", 10, True)
+    else:
+        assert report == VerifyReport("s", 10, False, **want)
+
+
 def test_dissection_specs_match_records(reg):
     # the per-term table must agree with the one-line rhs of its record
     ev = Evaluator()
@@ -154,7 +183,7 @@ def test_dissection_specs_match_records(reg):
 
 
 def test_verify_by_id(reg):
-    assert verify_by_id(reg, "one-substitution", order=50).passed
+    assert verify(reg.record("one-substitution"), order=50).passed
 
 
 def test_registry_override_path(tmp_path):
@@ -172,7 +201,7 @@ def test_registry_override_path(tmp_path):
     path.write_text(json.dumps(data))
     tiny = load_registry(str(path))
     assert len(tiny) == 1
-    assert verify_by_id(tiny, "toy").passed
+    assert verify(tiny.record("toy")).passed
 
 
 def test_duplicate_ids_rejected(tmp_path):

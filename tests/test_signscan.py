@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from qdissect import _kernels, products
@@ -6,7 +8,7 @@ from qdissect.exprlang import Evaluator
 from qdissect.prodmake import expand_exponents
 from qdissect.registry import PIPELINE_TARGETS, load_registry
 from qdissect.series import Series
-from qdissect.signscan import DEFAULT_RULES, SignRule, scan, scan_rows, series_for
+from qdissect.signscan import DEFAULT_RULES, SignRule, scan, series_for, write_csv
 
 
 def test_rule_validation():
@@ -143,10 +145,13 @@ def test_slice_signs_match_dissection_prefactors():
                 assert (c > 0) == (want == "positive")
 
 
-def test_scan_rows_csv_shape():
+def test_write_csv_shape():
     series = series_for("gamma", 12)
     report = scan("gamma", n=12, series=series)
-    rows = scan_rows(report, series)
-    assert rows[0] == (0, 1, 0, "ok")
-    assert len(rows) == 12
-    assert {r[3] for r in rows} == {"ok"}
+    fh = io.StringIO(newline="")
+    write_csv(fh, report, series)
+    rows = fh.getvalue().splitlines()
+    assert rows[0] == "n,coefficient,residue,verdict"
+    assert rows[1] == "0,1,0,ok"
+    assert len(rows) == 13
+    assert {r.rsplit(",", 1)[1] for r in rows[1:]} == {"ok"}
