@@ -9,10 +9,14 @@ J. Symbolic Comput. 44, 2009).  ``sparse_power`` multiplies a list by a
 power of a sparse series with unit coefficients, such as a theta series:
 to multiply, by shift-adds on the packed list; to divide, by a recurrence
 that sums each block's far terms in one zip and reads the near terms of
-each index through itemgetters over one window.  ``matches_product``
-checks a list against a product prod (1-q^d)^a on one packed integer,
-with slots sized by a saddle-point bound on the product (``_product_bits``).
-Each kernel sizes its slots from its own arguments.  The slot format
+each index through itemgetters over one window.  ``quotient`` divides
+one list by another with a unit constant term as one 2-adic quotient of
+packed integers, in slots as wide as the quotient, whatever the width of
+the operands.  ``matches_product`` checks a list against a product
+prod (1-q^d)^a by cross-multiplying its numerator and denominator, each
+one packed integer, with slots sized by a saddle-point bound on the
+product (``_product_bits``).  Each kernel sizes its slots from its own
+arguments.  The slot format
 (``_pack``, ``_unpack``, ``_slot_bytes``) is private here, and each call
 builds its slot mask (``_top``) once.
 """
@@ -77,6 +81,61 @@ def _unpack(x, kb, n, top):
     """
     buf = (((x + top) ^ top) & ((1 << (8 * kb * n)) - 1)).to_bytes(kb * n, "little")
     return [int.from_bytes(buf[i:i + kb], "little", signed=True) for i in range(0, len(buf), kb)]
+
+
+def _pack_exact(xs, kb):
+    """The integer sum xs[i] * 2**(k*i), k = 8*kb, for any xs: ``_pack`` of
+    every g-th entry in slots g times as wide, shifted into place, with g
+    the fewest that hold max|xs| and a sign bit."""
+    g = -(-_slot_bytes(max(map(abs, xs)).bit_length()) // kb)
+    x = 0
+    for r in range(g):
+        part = xs[r::g]
+        x += _pack(part, g * kb, _top(g * kb, len(part))) << 8 * kb * r
+    return x
+
+
+def quotient(a, b):
+    """The n coefficients of a/b mod q^n, for lists a and b of length n >= 1
+    with b[0] = +-1.
+
+    q = 2**k maps series mod q^n onto integers mod 2**(k*n) as a ring, and
+    it maps b to an odd B, so a/b goes to A * B^-1.  A and B are packed
+    exactly (``_pack_exact``), however wide a and b are, and B^-1 comes from
+    Newton's w <- w*(2 - B*w) on one integer, which doubles the number of
+    correct slots s each round.  w is kept centred, |w| <= 2**(k*s-1), so an
+    inverse that is a short series stays a short integer.  The k-bit digits
+    of A * w are the quotient if its coefficients fit the slot, so k starts
+    at 8 and doubles until the digits leave the bit below each slot's sign
+    bit unused (digits that do not are taken to have wrapped) and the
+    digits x satisfy x * b == a exactly: packed in ``conv``'s slot for
+    x * b, which also holds a, equal images are equal series.  So the cost
+    follows the width of the quotient, not that of a and b.
+    """
+    n = len(a)
+    bits_a, bits_b = (max(map(abs, xs)).bit_length() for xs in (a, b))
+    kb = 1
+    while True:
+        k = 8 * kb
+        big = _pack_exact(b, kb)
+        w, s = b[0], 1
+        while s < n:
+            # 1 - B*w is a multiple of 2**(k*s): w*(2 - B*w) adds w times
+            # its next t - s slots
+            t = min(2 * s, n)
+            low = (1 << k * (t - s)) - 1
+            e = ((1 - (big & (1 << k * t) - 1) * w) >> k * s) & low
+            half = 1 << k * t - 1
+            w = ((w + ((w * e & low) << k * s) + half) & 2 * half - 1) - half
+            s = t
+        x = _unpack(_pack_exact(a, kb) * w, kb, n, _top(kb, n))
+        bits = max(map(abs, x)).bit_length()
+        if bits < k - 1:
+            kc = _slot_bytes(max(bits + bits_b + n.bit_length(), bits_a))
+            top = _top(kc, n)
+            if (_pack(x, kc, top) * _pack(b, kc, top) - _pack(a, kc, top)) & (1 << 8 * kc * n) - 1 == 0:
+                return x
+        kb *= 2
 
 
 def conv(a, b, out_len):
@@ -228,23 +287,28 @@ def matches_product(c, exponents):
 
     As in ``sparse_power``, q = 2**k maps series mod q^n onto integers mod
     2**(k*n), k = 8*kb, and the map is one-to-one on series whose
-    coefficients fit a k-bit slot with a sign bit.  So the product is built
-    from x = 1 in one integer, kept mod 2**(k*n) only through its shifted
-    copies, and compared with the packed c, never unpacked: only c and the
-    product, not the partial products, must fit the slot, sized by
-    ``_product_bits`` and the bits of max|c|.  A factor (1-q^d) is
-    x -= x << k*d and 1/(1-q^d) the doubling product (1+q^d)(1+q^2d)...,
-    one shift-add each, every shifted copy cut to n slots.  A factor power
-    with |a| > 8, (1-q^d)^a = 1 + q^d * v below q^n by the binomial series,
-    is x += q^d * x * v: one multiplication by v at q = 2**k.
+    coefficients fit a k-bit slot with a sign bit.  The product is split as
+    num/den: den = prod (1-q^d)^|a| over the factors with -8 <= a < 0,
+    num the product of all the others.  Each is built from 1 in one integer,
+    kept mod 2**(k*n) only through its shifted copies, and c is accepted iff
+    pack(c) * den == num mod 2**(k*n).  That is exact: den is odd, so it is
+    invertible there, and the test holds iff c and the product have one
+    image.  So only c and the product, not num, den or any partial
+    product, must fit the slot, sized by ``_product_bits`` and the bits of
+    max|c|.  A factor (1-q^d) is x -= x << k*d, its shifted copy cut to n
+    slots, |a| times.  A factor power with |a| > 8, (1-q^d)^a = 1 + q^d * v
+    below q^n by the binomial series, is num += q^d * num * v: one
+    multiplication by v.  The factors go in descending d, so num - 1 is a
+    multiple of q^e, e the last d applied, and only num's n-d-e slots above
+    q^e enter that multiplication.
     """
     n = len(c)
     pairs = [(d, a) for d, a in exponents if 0 < d < n and a]
     kb = _slot_bytes(max(_product_bits(pairs, n), max(map(abs, c), default=0).bit_length()))
     k = 8 * kb
     mask = (1 << k * n) - 1
-    x = 1
-    for d, a in pairs:
+    num, den, e = 1, 1, n
+    for d, a in sorted(pairs, reverse=True):
         if abs(a) > 8:
             # v = sum_(i>0) C(a, i) (-1)^i q^(d(i-1)); for a > 0 it ends at i = a
             low = (1 << k * (n - d)) - 1
@@ -253,14 +317,16 @@ def matches_product(c, exponents):
                 v += b << k * d * (i - 1)
                 b = -b * (a - i) // (i + 1)
                 i += 1
-            x += ((x & low) * (v & low) & low) << k * d
+            # num * v = v + q^e * y * v below q^(n-d), with num = 1 + q^e * y
+            w = mask >> k * (d + e)
+            y = ((num - 1) >> k * e) & w
+            num += ((v + ((y * (v & w) & w) << k * e)) & low) << k * d
+            e = d
         elif a > 0:
             for _ in range(a):
-                x -= (x & (mask >> k * d)) << k * d
+                num -= (num & (mask >> k * d)) << k * d
+            e = d
         else:
             for _ in range(-a):
-                j = d
-                while j < n:
-                    x += (x & (mask >> k * j)) << k * j
-                    j *= 2
-    return (x - _pack(c, kb, _top(kb, n))) & mask == 0
+                den -= (den & (mask >> k * d)) << k * d
+    return (_pack(c, kb, _top(kb, n)) * den - num) & mask == 0

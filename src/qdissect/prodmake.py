@@ -13,10 +13,13 @@ for every 5-dissection slice), is recovered from F at order ceil(n/g): t
 and the divisor sums both scale by g, so a_(gk) = b_k and every other a_n
 is 0, as ``products._run`` runs the passes on a grid q^h at ceil(n/h).
 
-Every result is checked: the recovered product must re-expand to F, on
-one packed integer (``_kernels.matches_product``).  ``expand_exponents``,
-the dense re-expansion, stays the public one and the tests' oracle for the
-check.
+t is one packed 2-adic quotient (``_kernels.quotient``), in slots as wide
+as t, not as F: t_m = sum_{d|m} d*a_d is small when the exponents are
+(11-12 bits on the 5-dissection slices of the paper's theorems, whose
+coefficients have 70-106 bits).  Every result is checked: the recovered
+product must re-expand to F, on packed integers
+(``_kernels.matches_product``).  ``expand_exponents``, the dense
+re-expansion, stays the public one and the tests' oracle for the check.
 """
 
 from math import gcd
@@ -94,11 +97,11 @@ def prodmake(f, n):
         raise NotUnit("prodmake needs valuation 0 and leading coefficient +1")
     if f.order < n:
         raise OrderExceeded(f"need coefficients below {n}, trusted below {f.order}")
-    f = f.truncate(n)
-    g = gcd(*(i for i, c in enumerate(f.coeffs) if c)) or 1
-    m = -(-n // g)
-    f = Series(0, f.coeffs[::g], m)  # the input is exactly f(q^g)
-    t = f.q_derivative().negate().div(f).coefficients(0, m)
+    c = f.coefficients(0, n)
+    g = gcd(*(i for i, x in enumerate(c) if x)) or 1
+    c = c[::g]  # f is exactly F(q^g), F of order m = ceil(n/g)
+    m = len(c)
+    t = _kernels.quotient([-i * x for i, x in enumerate(c)], c)  # t = -q F'/F
     exponents = {}
     divsum = [0] * m
     for k in range(1, m):
@@ -109,7 +112,7 @@ def prodmake(f, n):
                 divsum[mult] += k * a
     # soundness: the recovered product must reproduce the input exactly;
     # the check is packed, the dense ``expand_exponents`` its test oracle
-    if not _kernels.matches_product(f.coefficients(0, m), exponents.items()):
+    if not _kernels.matches_product(c, exponents.items()):
         raise AssertionError("product re-expansion does not match input")
     return EtaExponents({g * k: a for k, a in exponents.items()}, n)
 

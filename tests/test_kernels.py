@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdissect import _kernels
+from qdissect.series import Series
 
 
 def naive_conv(a, b, out_len):
@@ -193,3 +194,60 @@ def test_sparse_power_matches_naive(case, e, seed):
     expected = naive_sparse_power(c, terms, e)
     _kernels.sparse_power(c, terms, e)
     assert c == expected
+
+
+# -- the packed 2-adic quotient -----------------------------------------------
+
+def series_div(a, b):
+    """Oracle: a/b mod q^n by ``Series.div`` (Newton inversion and ``conv``)."""
+    n = len(a)
+    return Series(0, a, n).div(Series(0, b, n)).coefficients(0, n)
+
+
+@st.composite
+def quotient_operands(draw):
+    """(a, b) of one length 1-80, b[0] = +-1, the other entries of 0-200 bits.
+
+    Either a is drawn too, so a/b is wider than both (1/b grows with the
+    index), or a = x*b for a drawn x of 0-20 bits, a quotient narrower
+    than b (and than a) that wraps the first slots it is tried in.
+    """
+    n = draw(st.integers(1, 80))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    word = lambda bits: rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, bits))
+    b = [rng.choice((-1, 1))] + [word(200) for _ in range(n - 1)]
+    if draw(st.booleans()):
+        return [word(200) for _ in range(n)], b
+    return _kernels.conv([word(20) for _ in range(n)], b, n), b
+
+
+# at q = 2^16 the quotient [2^16 + 5, -1] reads as the digits [5, 0]: they
+# leave the slots' top bits unused, so only the exact check x*b == a can
+# refuse that width (see the test below)
+WRAPS_UNSEEN = ([2**16 + 5, 3 * (2**16 + 5) - 1], [1, 3])
+
+
+@given(quotient_operands())
+@example(([7], [1]))
+@example(([-(2**200)], [-1]))
+@example(([3, -7], [-1, 2**150]))
+@example(([0, 0, 0], [1, -(2**199), 2**200]))
+@example(WRAPS_UNSEEN)
+@settings(max_examples=60, deadline=None)  # a wide quotient takes up to ~1 s
+def test_quotient_matches_series_div(operands):
+    a, b = operands
+    assert _kernels.quotient(a, b) == series_div(a, b)
+
+
+def test_quotient_digits_that_look_unwrapped_are_checked():
+    a, b = WRAPS_UNSEEN
+    x = [2**16 + 5, -1]
+    assert _kernels.conv(x, b, 2) == a
+    assert _kernels._unpack(_kernels._pack_exact(x, 2), 2, 2, _kernels._top(2, 2)) == [5, 0]
+    assert _kernels.quotient(a, b) == x
+
+
+def test_pack_exact_takes_entries_wider_than_the_slot():
+    xs = [2**70 + 3, -(2**9), 0, -1, 2**200 - 1]
+    for kb in (1, 2, 3, 8, 26):
+        assert _kernels._pack_exact(xs, kb) == sum(x << 8 * kb * i for i, x in enumerate(xs))

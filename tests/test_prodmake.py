@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -195,6 +197,27 @@ def test_packed_check_rejects_a_forgery_that_agrees_at_q_equal_2_to_the_slot(exp
     assert not _kernels.matches_product(forged, exponents.items())
 
 
+def test_packed_check_lets_the_denominator_overflow_the_slot(monkeypatch):
+    # psi(q)^8 = (q^2;q^2)^16 / (q;q)^8 has a = 8 at even d and -8 at odd d:
+    # at n = 150 its coefficients have 22 bits, its denominator
+    # prod_(d odd) (1-q^d)^8 has 57.  pack(c) * den == num needs only c and
+    # the product in the slot, so a slot sized for c alone (which here is
+    # the product) must accept c and refuse c with one coefficient off by one
+    n = 150
+    exponents = {d: 8 if d % 2 == 0 else -8 for d in range(1, n)}
+    c = naive_product(exponents, n)
+    den = naive_product({d: -a for d, a in exponents.items() if a < 0}, n)
+    assert max_bits(c) == 22 and max_bits(den) >= 8 * _kernels._slot_bytes(max_bits(c))
+    assert _kernels.matches_product(c, exponents.items())
+    monkeypatch.setattr(_kernels, "_product_bits", lambda pairs, n: max_bits(c))
+    assert _kernels.matches_product(c, exponents.items())
+    for i in (0, 1, 2, 75, 148, 149):
+        for step in (-1, 1):
+            off = list(c)
+            off[i] += step
+            assert not _kernels.matches_product(off, exponents.items())
+
+
 def test_packed_check_sizes_its_slot_for_the_list_as_well():
     # pairs with d >= n or a = 0 do not act; where the product is 1 or
     # small, the slot must still hold max|c|
@@ -227,6 +250,47 @@ def test_prodmake_checks_on_the_packed_path(monkeypatch):
 
     monkeypatch.setattr("qdissect.prodmake._apply_factor", dense)
     assert prodmake(Series(0, [1, -2, 1], 3), 3).exponents == {1: 2}
+
+
+def mobius(m):
+    """The Moebius function, by trial division."""
+    sign, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+def test_prodmake_of_1_over_1_minus_2q_counts_lyndon_words():
+    # 1/(1-2q) = prod (1-q^n)^(-L_n), L_n the number of binary Lyndon words
+    # of length n; t_m = -2^m, so t is as wide as the series itself and the
+    # quotient takes the most width doublings
+    n = 200
+    e = prodmake(Evaluator().eval("1/(1-2*q)", n), n)
+    lyndon = {m: sum(mobius(d) * 2 ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+              for m in range(1, n)}
+    assert lyndon[1] == 2 and lyndon[6] == 9
+    assert e.exponents == {m: -x for m, x in lyndon.items()}
+
+
+def test_prodmake_divides_without_newton_or_conv():
+    # t = -q F'/F is one packed 2-adic quotient (``_kernels.quotient``) and
+    # the check multiplies one packed integer: no Series.div, no conv
+    f = Evaluator().eval(
+        "JP(q^5,q^5,q^25,q^25,q^25,q^25,q^45,q^45;"
+        "q^10,q^10,q^10,q^20,q^30,q^40,q^40,q^40;q^50)",
+        2000,
+    )
+    with mock.patch.object(Series, "div", side_effect=AssertionError("Series.div")), \
+            mock.patch.object(_kernels, "conv", side_effect=AssertionError("conv")), \
+            mock.patch.object(_kernels, "quotient", wraps=_kernels.quotient) as quotient:
+        e = prodmake(f, 2000)
+    assert quotient.call_count == 1
+    assert max(e.exponents) == 5 * 399
 
 
 def test_partial_gcd_support_and_constant_are_not_compressed():
