@@ -93,6 +93,8 @@ def expand_exponents(exponents, n):
 
 def prodmake(f, n):
     """Product exponents of f for 1 <= k < n.  f must start with 1*q^0."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
     if f.is_zero() or f.val != 0 or f.coeffs[0] != 1:
         raise NotUnit("prodmake needs valuation 0 and leading coefficient +1")
     if f.order < n:

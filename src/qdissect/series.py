@@ -216,6 +216,12 @@ class Series(Value):
         """Multiply by q**k (k may be negative)."""
         return Series(self.val + k, self.coeffs, self.order + k)
 
+    def q_derivative(self):
+        """q * d/dq: the coefficient of q**n becomes n times itself."""
+        return Series(
+            self.val, [(self.val + i) * c for i, c in enumerate(self.coeffs)], self.order
+        )
+
     def truncate(self, m):
         order = min(self.order, m)
         return Series(self.val, self.coeffs[: max(order - self.val, 0)], order)

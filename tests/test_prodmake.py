@@ -252,6 +252,12 @@ def test_prodmake_checks_on_the_packed_path(monkeypatch):
     assert prodmake(Series(0, [1, -2, 1], 3), 3).exponents == {1: 2}
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_prodmake_rejects_an_order_below_1(n):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        prodmake(Series(0, [1, -2, 1], 3), n)
+
+
 def mobius(m):
     """The Moebius function, by trial division."""
     sign, p = 1, 2

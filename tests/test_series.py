@@ -146,6 +146,14 @@ def test_shift_examples():
     assert qinv.shift(1).order == 5
 
 
+def test_q_derivative_examples():
+    assert Series.one(10).q_derivative().is_zero()
+    q3 = Series.monomial(1, 3, 10)
+    assert as_dict(q3.q_derivative()) == {3: 3}
+    geom = Series(0, [1] * 10, 10)
+    assert as_dict(geom.q_derivative()) == {n: n for n in range(1, 10)}
+
+
 def test_exact_scalar_div():
     s = make_series([(0, 2), (3, -4)], 10)
     assert as_dict(s.exact_scalar_div(2)) == {0: 1, 3: -2}
