@@ -13,10 +13,9 @@ each index through itemgetters over one window.  ``quotient`` divides
 one list by another with a unit constant term as one 2-adic quotient of
 packed integers, in slots as wide as the quotient, whatever the width of
 the operands.  ``matches_product`` checks a list against a product
-prod (1-q^d)^a by cross-multiplying its numerator and denominator, each
-one packed integer, with slots sized by a saddle-point bound on the
-product (``_product_bits``).  Each kernel sizes its slots from its own
-arguments.  The slot format
+prod (1-q^d)^a on packed integers, with slots sized by a saddle-point
+bound on the product (``_product_bits``).  Each kernel sizes its slots
+from its own arguments.  The slot format
 (``_pack``, ``_unpack``, ``_slot_bytes``) is private here, and each call
 builds its slot mask (``_top``) once.
 """
@@ -286,30 +285,31 @@ def matches_product(c, exponents):
     (d, a) of ``exponents``; a pair with d >= n does not act.
 
     As in ``sparse_power``, q = 2**k maps series mod q^n onto integers mod
-    2**(k*n), k = 8*kb, and the map is one-to-one on series whose
-    coefficients fit a k-bit slot with a sign bit.  The product is split as
-    num/den: den = prod (1-q^d)^|a| over the factors with -8 <= a < 0,
-    num the product of all the others.  Each is built from 1 in one integer,
-    kept mod 2**(k*n) only through its shifted copies, and c is accepted iff
-    pack(c) * den == num mod 2**(k*n).  That is exact: den is odd, so it is
-    invertible there, and the test holds iff c and the product have one
-    image.  So only c and the product, not num, den or any partial
-    product, must fit the slot, sized by ``_product_bits`` and the bits of
-    max|c|.  A factor (1-q^d) is x -= x << k*d, its shifted copy cut to n
-    slots, |a| times.  A factor power with |a| > 8, (1-q^d)^a = 1 + q^d * v
-    below q^n by the binomial series, is num += q^d * num * v: one
-    multiplication by v.  The factors go in descending d, so num - 1 is a
-    multiple of q^e, e the last d applied, and only num's n-d-e slots above
-    q^e enter that multiplication.
+    2**(k*n), k = 8*kb, one-to-one on series whose coefficients fit a k-bit
+    slot with a sign bit.  With h = ceil(n/2), the factors with -8 <= a < 0
+    and d < h (den) act on x = pack(c), each (1-q^d) as x -= x << k*d cut
+    to n slots; the others make num from 1, and c is accepted iff x == num,
+    that is pack(c) * den == num, mod 2**(k*n).  den is odd, so that holds
+    iff c and the product have one image: only they, not num, den or a
+    partial product, must fit the slot, sized by ``_product_bits`` and
+    max|c|.  As 2d >= n, the factors with d >= h are 1 - q^h * y below
+    q^n, y = sum a*q^(d-h), whatever a: one product of n-h by n-h slots.
+    Below h, 0 < a <= 8 is a shift-subtracts on num, and |a| > 8 is
+    num += q^d * num * v, v the binomial series; in descending d, num - 1
+    is a multiple of q^e, e the last d, so only num's n-d-e slots above
+    q^e enter that product.
     """
     n = len(c)
     pairs = [(d, a) for d, a in exponents if 0 < d < n and a]
     kb = _slot_bytes(max(_product_bits(pairs, n), max(map(abs, c), default=0).bit_length()))
     k = 8 * kb
     mask = (1 << k * n) - 1
-    num, den, e = 1, 1, n
+    h = (n + 1) // 2
+    x, num, y, e = _pack(c, kb, _top(kb, n)), 1, 0, n
     for d, a in sorted(pairs, reverse=True):
-        if abs(a) > 8:
+        if d >= h:
+            y += a << k * (d - h)
+        elif abs(a) > 8:
             # v = sum_(i>0) C(a, i) (-1)^i q^(d(i-1)); for a > 0 it ends at i = a
             low = (1 << k * (n - d)) - 1
             v, b, i = 0, -a, 1
@@ -317,16 +317,20 @@ def matches_product(c, exponents):
                 v += b << k * d * (i - 1)
                 b = -b * (a - i) // (i + 1)
                 i += 1
-            # num * v = v + q^e * y * v below q^(n-d), with num = 1 + q^e * y
+            # num * v = v + q^e * z * v below q^(n-d), with num = 1 + q^e * z
             w = mask >> k * (d + e)
-            y = ((num - 1) >> k * e) & w
-            num += ((v + ((y * (v & w) & w) << k * e)) & low) << k * d
-            e = d
-        elif a > 0:
-            for _ in range(a):
-                num -= (num & (mask >> k * d)) << k * d
+            z = ((num - 1) >> k * e) & w
+            num += ((v + ((z * (v & w) & w) << k * e)) & low) << k * d
             e = d
         else:
-            for _ in range(-a):
-                den -= (den & (mask >> k * d)) << k * d
-    return (_pack(c, kb, _top(kb, n)) * den - num) & mask == 0
+            w = mask >> k * d
+            if a > 0:
+                for _ in range(a):
+                    num -= (num & w) << k * d
+                e = d
+            else:
+                for _ in range(-a):
+                    x -= (x & w) << k * d
+    low = (1 << k * (n - h)) - 1
+    num -= ((num & low) * (y & low)) << k * h
+    return (x - num) & mask == 0

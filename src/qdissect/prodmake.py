@@ -18,8 +18,10 @@ as t, not as F: t_m = sum_{d|m} d*a_d is small when the exponents are
 (11-12 bits on the 5-dissection slices of the paper's theorems, whose
 coefficients have 70-106 bits).  Every result is checked: the recovered
 product must re-expand to F, on packed integers
-(``_kernels.matches_product``).  ``expand_exponents``, the dense
-re-expansion, stays the public one and the tests' oracle for the check.
+(``_kernels.matches_product``: the denominator's factors act on F's
+image, and every factor past q^(m/2) enters as one half-width product).
+``expand_exponents``, the dense re-expansion, stays the public one and
+the tests' oracle for the check.
 """
 
 from math import gcd

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import pytest
@@ -200,9 +201,11 @@ def test_packed_check_rejects_a_forgery_that_agrees_at_q_equal_2_to_the_slot(exp
 def test_packed_check_lets_the_denominator_overflow_the_slot(monkeypatch):
     # psi(q)^8 = (q^2;q^2)^16 / (q;q)^8 has a = 8 at even d and -8 at odd d:
     # at n = 150 its coefficients have 22 bits, its denominator
-    # prod_(d odd) (1-q^d)^8 has 57.  pack(c) * den == num needs only c and
-    # the product in the slot, so a slot sized for c alone (which here is
-    # the product) must accept c and refuse c with one coefficient off by one
+    # prod_(d odd) (1-q^d)^8 has 57.  den's factors below q^75 act on
+    # pack(c) by shift-subtracts, each cut to n slots, and the rest enter
+    # num, so only c and the product, never den, need the slot: a slot sized
+    # for c alone (which here is the product) must accept c and refuse c
+    # with one coefficient off by one
     n = 150
     exponents = {d: 8 if d % 2 == 0 else -8 for d in range(1, n)}
     c = naive_product(exponents, n)
@@ -216,6 +219,63 @@ def test_packed_check_lets_the_denominator_overflow_the_slot(monkeypatch):
             off = list(c)
             off[i] += step
             assert not _kernels.matches_product(off, exponents.items())
+
+
+def times_factor_power(c, d, a):
+    """Oracle: c * (1-q^d)^a, one index at a time, from the binomial series
+    sum_j C(a, j) (-1)^j q^(dj) (for a < 0, C(a, j) (-1)^j = C(-a-1+j, j))."""
+    n = len(c)
+    out = list(c)
+    for j in range(1, (n - 1) // d + 1):
+        b = math.comb(a, j) * (-1) ** j if a > 0 else math.comb(-a - 1 + j, j)
+        for i in range(d * j, n):
+            out[i] += b * c[i - d * j]
+    return out
+
+
+@st.composite
+def around_the_midpoint(draw):
+    # factors at d within 3 of h = ceil(n/2), where the check splits them,
+    # and maybe one exponent past float range at some d >= h
+    n = draw(st.integers(1, 60))
+    h = (n + 1) // 2
+    exponents = draw(st.dictionaries(st.integers(max(1, h - 3), h + 3),
+                                     st.integers(-12, 12).filter(bool), max_size=6))
+    huge = draw(st.dictionaries(st.integers(h, h + 3), HUGE | st.just(2**300), max_size=1))
+    for d in huge:
+        exponents.pop(d, None)
+    return exponents, huge, n
+
+
+@given(around_the_midpoint(), st.sampled_from([-1, 1]))
+@example(({}, {}, 1), 1)
+@example(({1: -9}, {}, 2), -1)
+@example(({3: 5, 4: -7}, {}, 6), 1)  # only factors at d >= h
+@example(({2: 3}, {4: 2**300}, 7), -1)
+@example(({1: 2, 2: -3, 3: -1, 4: 12, 5: -8}, {}, 8), 1)  # for the forgery below
+@settings(max_examples=150, deadline=None)
+def test_packed_check_splits_its_factors_at_the_midpoint(case, step):
+    # every factor with 2d >= n is 1 - a*q^d below q^n, whatever a; the
+    # oracle multiplies every factor out, so it does not rely on that
+    exponents, huge, n = case
+    h = (n + 1) // 2
+    c = naive_product(exponents, n)
+    for d, a in huge.items():
+        c = times_factor_power(c, d, a)
+    exponents = {**exponents, **huge}
+    assert _kernels.matches_product(c, exponents.items())
+    for i in {h - 1, h} & set(range(n)):
+        off = list(c)
+        off[i] += step
+        assert not _kernels.matches_product(off, exponents.items())
+    if h < n:
+        # f + 2^k q^(h-1) - q^h has the value of f at q = 2^k, k the slot f
+        # alone gets
+        k = 8 * _kernels._slot_bytes(max(product_bits(exponents, n), max_bits(c)))
+        forged = list(c)
+        forged[h - 1] += 1 << k
+        forged[h] -= 1
+        assert not _kernels.matches_product(forged, exponents.items())
 
 
 def test_packed_check_sizes_its_slot_for_the_list_as_well():
