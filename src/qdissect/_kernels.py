@@ -9,19 +9,17 @@ J. Symbolic Comput. 44, 2009).  ``sparse_power`` multiplies a list by a
 power of a sparse series with unit coefficients, such as a theta series:
 to multiply, by shift-adds on the packed list; to divide, by a recurrence
 that sums each block's far terms in one zip and reads the near terms of
-each index through itemgetters over one window.  ``quotient`` divides
-one list by another with a unit constant term as one 2-adic quotient of
-packed integers, in slots as wide as the quotient, whatever the width of
-the operands.  ``matches_product`` checks a list against a product
-prod (1-q^d)^a on packed integers, with slots sized by a saddle-point
-bound on the product (``_product_bits``).  Each kernel sizes its slots
-from its own arguments.  The slot format
+each index through itemgetters over one window.  ``quotients`` proposes
+a/b, for b with a unit constant term, as one 2-adic quotient of packed
+integers in slots that double until they hold it, whatever the width of
+a and b; its caller checks the candidate it accepts.  Each kernel
+sizes its slots from its own arguments.  The slot format
 (``_pack``, ``_unpack``, ``_slot_bytes``) is private here, and each call
 builds its slot mask (``_top``) once.
 """
 
 from bisect import bisect_left, bisect_right
-from math import comb, exp, frexp, inf, log1p
+from math import comb
 from operator import add, itemgetter, sub
 
 BACKEND = "python"
@@ -31,11 +29,6 @@ BACKEND = "python"
 _PACK_SLOTS = 256
 
 _BLOCK = 64  # the block length of a dividing ``sparse_power``
-
-# ``_product_bits`` ends its search once its two probes agree within half
-# a nat (0.72 bits), or after this many golden-section steps
-_SEARCH_STEPS = 40
-_LN2 = 0.6931471805599453  # just below log 2, so dividing by it rounds up
 
 
 def _getter(offsets):
@@ -94,25 +87,23 @@ def _pack_exact(xs, kb):
     return x
 
 
-def quotient(a, b):
-    """The n coefficients of a/b mod q^n, for lists a and b of length n >= 1
-    with b[0] = +-1.
+def quotients(a, b):
+    """Candidates for a/b mod q^n, for lists a and b of length n >= 1 with
+    b[0] = +-1, in k-bit slots for k = 8, 16, 32, ...
 
     q = 2**k maps series mod q^n onto integers mod 2**(k*n) as a ring, and
     it maps b to an odd B, so a/b goes to A * B^-1.  A and B are packed
     exactly (``_pack_exact``), however wide a and b are, and B^-1 comes from
     Newton's w <- w*(2 - B*w) on one integer, which doubles the number of
     correct slots s each round.  w is kept centred, |w| <= 2**(k*s-1), so an
-    inverse that is a short series stays a short integer.  The k-bit digits
-    of A * w are the quotient if its coefficients fit the slot, so k starts
-    at 8 and doubles until the digits leave the bit below each slot's sign
-    bit unused (digits that do not are taken to have wrapped) and the
-    digits x satisfy x * b == a exactly: packed in ``conv``'s slot for
-    x * b, which also holds a, equal images are equal series.  So the cost
-    follows the width of the quotient, not that of a and b.
+    inverse that is a short series stays a short integer.  Digits that use
+    the bit below a slot's sign bit are taken to have wrapped and are not
+    yielded.  At the first k whose slot holds every coefficient of a/b with
+    that bit to spare, the digits are a/b; a narrower k may still yield
+    digits that wrapped unseen, so the caller checks what it accepts.  The
+    cost follows the width of the quotient, not that of a and b.
     """
     n = len(a)
-    bits_a, bits_b = (max(map(abs, xs)).bit_length() for xs in (a, b))
     kb = 1
     while True:
         k = 8 * kb
@@ -128,12 +119,8 @@ def quotient(a, b):
             w = ((w + ((w * e & low) << k * s) + half) & 2 * half - 1) - half
             s = t
         x = _unpack(_pack_exact(a, kb) * w, kb, n, _top(kb, n))
-        bits = max(map(abs, x)).bit_length()
-        if bits < k - 1:
-            kc = _slot_bytes(max(bits + bits_b + n.bit_length(), bits_a))
-            top = _top(kc, n)
-            if (_pack(x, kc, top) * _pack(b, kc, top) - _pack(a, kc, top)) & (1 << 8 * kc * n) - 1 == 0:
-                return x
+        if max(map(abs, x)).bit_length() < k - 1:
+            yield x
         kb *= 2
 
 
@@ -218,119 +205,3 @@ def sparse_power(c, terms, e):
             for i in range(max(lo, w), hi):
                 x = c[i - w:i]
                 c[i] += sum(minus(x)) - sum(plus(x))
-
-
-def _product_bits(pairs, n):
-    """A bit length b with |P_i| < 2**b for every i < n, where P =
-    prod (1-q^k)^a over the pairs (k, a), each with 0 < k < n and a != 0.
-
-    The majorant M = prod_{a>0} (1+q^k)^a * prod_{a<0} (1-q^k)^a has
-    nonnegative coefficients and |P_i| <= M_i, so |P_i| <= M(r) r^-(n-1)
-    for every 0 < r < 1 (a saddle-point bound).  With r = e^-t,
-    phi = log M(r) - (n-1) log r = sum a*log1p(sign(a) e^-kt) + (n-1) t
-    is convex in t.  A golden-section search over log t from 1/(2n) to
-    t_hi keeps the least phi it sees.  At t_hi, the largest
-    (bits(a) + bits(n)) log 2 / k, every |a| e^-kt is at most 1/n: phi is
-    finite there and grows past it.  Every t gives a bound, and a relative
-    margin covers rounding.  An |a| past float range enters through
-    bits(a) log 2 >= log|a|, as a*log1p(x) <= a*x and
-    a*log1p(-x) <= |a|*x/(1-x).
-    """
-    plus, minus, huge, t_hi = [], [], [], 0
-    for k, a in pairs:
-        if a.bit_length() > 900:
-            huge.append((k, a.bit_length() * _LN2, a > 0))
-        else:
-            (plus if a > 0 else minus).append((k, float(a)))
-        t_hi = max(t_hi, (a.bit_length() + n.bit_length()) * _LN2 / k)
-    if not t_hi:
-        return 1
-
-    def phi(u):
-        t = exp(u)
-        total = ((n - 1) * t + sum(a * log1p(exp(-k * t)) for k, a in plus)
-                 + sum(a * log1p(-exp(-k * t)) for k, a in minus))
-        for k, la, positive in huge:
-            v = la - k * t
-            if v > 700:
-                return inf
-            total += exp(v) if positive else exp(v) / (1 - exp(-k * t))
-        return total
-
-    lo = -(2 * n).bit_length() * _LN2
-    top = hi = frexp(t_hi)[1] * _LN2
-    g = 0.618  # golden section
-    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
-    fc, fd = phi(c), phi(d)
-    best = min(fc, fd)
-    for _ in range(_SEARCH_STEPS):
-        if abs(fc - fd) < 0.5:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - g * (hi - lo)
-            fc = phi(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + g * (hi - lo)
-            fd = phi(d)
-        best = min(best, fc, fd)
-    if best == inf:
-        best = phi(top)
-    return int(best * (1 + 1e-6) / _LN2) + 1
-
-
-def matches_product(c, exponents):
-    """Whether c == prod (1-q^d)^a mod q^n, n = len(c), over the pairs
-    (d, a) of ``exponents``; a pair with d >= n does not act.
-
-    As in ``sparse_power``, q = 2**k maps series mod q^n onto integers mod
-    2**(k*n), k = 8*kb, one-to-one on series whose coefficients fit a k-bit
-    slot with a sign bit.  With h = ceil(n/2), the factors with -8 <= a < 0
-    and d < h (den) act on x = pack(c), each (1-q^d) as x -= x << k*d cut
-    to n slots; the others make num from 1, and c is accepted iff x == num,
-    that is pack(c) * den == num, mod 2**(k*n).  den is odd, so that holds
-    iff c and the product have one image: only they, not num, den or a
-    partial product, must fit the slot, sized by ``_product_bits`` and
-    max|c|.  As 2d >= n, the factors with d >= h are 1 - q^h * y below
-    q^n, y = sum a*q^(d-h), whatever a: one product of n-h by n-h slots.
-    Below h, 0 < a <= 8 is a shift-subtracts on num, and |a| > 8 is
-    num += q^d * num * v, v the binomial series; in descending d, num - 1
-    is a multiple of q^e, e the last d, so only num's n-d-e slots above
-    q^e enter that product.
-    """
-    n = len(c)
-    pairs = [(d, a) for d, a in exponents if 0 < d < n and a]
-    kb = _slot_bytes(max(_product_bits(pairs, n), max(map(abs, c), default=0).bit_length()))
-    k = 8 * kb
-    mask = (1 << k * n) - 1
-    h = (n + 1) // 2
-    x, num, y, e = _pack(c, kb, _top(kb, n)), 1, 0, n
-    for d, a in sorted(pairs, reverse=True):
-        if d >= h:
-            y += a << k * (d - h)
-        elif abs(a) > 8:
-            # v = sum_(i>0) C(a, i) (-1)^i q^(d(i-1)); for a > 0 it ends at i = a
-            low = (1 << k * (n - d)) - 1
-            v, b, i = 0, -a, 1
-            while b and d * i < n:
-                v += b << k * d * (i - 1)
-                b = -b * (a - i) // (i + 1)
-                i += 1
-            # num * v = v + q^e * z * v below q^(n-d), with num = 1 + q^e * z
-            w = mask >> k * (d + e)
-            z = ((num - 1) >> k * e) & w
-            num += ((v + ((z * (v & w) & w) << k * e)) & low) << k * d
-            e = d
-        else:
-            w = mask >> k * d
-            if a > 0:
-                for _ in range(a):
-                    num -= (num & w) << k * d
-                e = d
-            else:
-                for _ in range(-a):
-                    x -= (x & w) << k * d
-    low = (1 << k * (n - h)) - 1
-    num -= ((num & low) * (y & low)) << k * h
-    return (x - num) & mask == 0

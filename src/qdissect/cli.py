@@ -165,8 +165,18 @@ def cmd_list(args):
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, but a word whose first two characters are not "--" and name
+    no option, such as the expression -R(q), is a positional argument."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[1:2] != "-" and arg_string[:2] not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="qdissect",
         description="Exact q-series engine: expand, dissect, and verify "
         "Rogers-Ramanujan style product identities.",

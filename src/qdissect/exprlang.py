@@ -405,10 +405,6 @@ def to_text(e):
 _FUNC_EVAL = {"Gsum": products.G_sum, "Hsum": products.H_sum, "psi": products.psi}
 
 
-class _ZeroDivisor(Exception):
-    """Raised with the working order at which a divisor truncates to zero."""
-
-
 class Evaluator:
     """Evaluates ASTs to Series, caching shared subexpressions by node.
 
@@ -432,8 +428,7 @@ class Evaluator:
         Laurent intermediates (division by a positive-valuation series)
         erode the working order, so evaluate SLACK past it and retry deeper
         if the result comes back short.  A divisor that is zero at the
-        working order may start deeper: retry up to MAX_SLACK past the
-        order, then give up with NonUnitLeadingCoefficient.
+        working order may start deeper (``_divisor``).
         """
         if isinstance(e, str):
             e = parse(e)
@@ -442,15 +437,10 @@ class Evaluator:
         slack = SLACK
         while True:
             check_length(order + slack)
-            try:
-                s = self._eval(e, order + slack)
-            except _ZeroDivisor as exc:
-                if slack >= MAX_SLACK:
-                    raise NonUnitLeadingCoefficient(
-                        f"cannot invert the zero series (a divisor is zero below q^{exc.args[0]})"
-                    ) from None
-                slack = min(2 * slack, MAX_SLACK)
-                continue
+            # the deepest working order a divisor gets, on this pass's scale
+            # (a Subst in q^p divides it by p while it evaluates its operand)
+            self._deepest = order + MAX_SLACK
+            s = self._eval(e, order + slack)
             if s.order >= order:
                 return s.truncate(order)
             slack = 2 * slack + (order - s.order)
@@ -475,7 +465,9 @@ class Evaluator:
                 return products.phi(e.sign, m)
             return _FUNC_EVAL[e.name](m)
         if isinstance(e, Subst):
+            deepest, self._deepest = self._deepest, -(-self._deepest // e.power)
             inner = self._eval(e.operand, (m + e.power - 1) // e.power)
+            self._deepest = deepest
             return inner.substitute_power(e.power).truncate(m)
         if isinstance(e, Add):
             return self._eval(e.left, m).add(self._eval(e.right, m))
@@ -493,10 +485,22 @@ class Evaluator:
         raise TypeError(f"not an expression node: {e!r}")
 
     def _divisor(self, e, m):
-        """Series of e at working order m, which a division needs nonzero."""
+        """Series of e at working order m, or deeper if it is zero there:
+        a division needs it nonzero.
+
+        A divisor zero at m is evaluated at doubling orders up to the
+        deepest one ``eval`` allows it, and the first nonzero one is
+        returned; the quotient then comes back short, and ``eval`` retries
+        deeper.  A divisor still zero there is refused at once, before the
+        rest of the expression is evaluated deeper.
+        """
         d = self._eval(e, m)
-        if d.is_zero():
-            raise _ZeroDivisor(m)
+        while d.is_zero():
+            if m >= self._deepest:
+                raise NonUnitLeadingCoefficient(
+                    f"cannot invert the zero series (a divisor is zero below q^{m})")
+            m = min(2 * m, self._deepest)
+            d = self._eval(e, m)
         return d
 
 

@@ -13,15 +13,14 @@ for every 5-dissection slice), is recovered from F at order ceil(n/g): t
 and the divisor sums both scale by g, so a_(gk) = b_k and every other a_n
 is 0, as ``products._run`` runs the passes on a grid q^h at ceil(n/h).
 
-t is one packed 2-adic quotient (``_kernels.quotient``), in slots as wide
-as t, not as F: t_m = sum_{d|m} d*a_d is small when the exponents are
-(11-12 bits on the 5-dissection slices of the paper's theorems, whose
-coefficients have 70-106 bits).  Every result is checked: the recovered
-product must re-expand to F, on packed integers
-(``_kernels.matches_product``: the denominator's factors act on F's
-image, and every factor past q^(m/2) enters as one half-width product).
-``expand_exponents``, the dense re-expansion, stays the public one and
-the tests' oracle for the check.
+The quotient proposes and the log-derivative product proves: t is
+guessed as one packed 2-adic quotient (``_kernels.quotients``) in slots
+as wide as t, not as F (11-12 bits on the 5-dissection slices of the
+paper's theorems, whose coefficients have 70-106 bits), and a candidate
+is accepted only once its exponents pass ``_satisfies_log_derivative``.
+That check reads F and the exponents, never t: it is an independent
+proof, and ``expand_exponents``, the dense re-expansion, is the tests'
+oracle for it.
 """
 
 from math import gcd
@@ -93,8 +92,27 @@ def expand_exponents(exponents, n):
     return Series(0, c, n)
 
 
+def _satisfies_log_derivative(c, s):
+    """Whether c is prod (1-q^d)^(a_d) mod q^n, n = len(c), given the
+    divisor sums s_m = sum_{d|m} d*a_d of the exponents for m < n (s[0] = 0).
+
+    P = prod (1-q^d)^(a_d) is the only series with P(0) = 1 and
+    -q P' = s P: coefficient m reads m P_m = -sum_{j=1..m} s_j P_(m-j),
+    which fixes each P_m from the ones below it.  So c is P mod q^n exactly
+    when c[0] = 1 and s*c == -q c' mod q^n, and ``conv`` makes s*c exactly.
+    """
+    return c[0] == 1 and _kernels.conv(s, c, len(c)) == [-i * x for i, x in enumerate(c)]
+
+
 def prodmake(f, n):
-    """Product exponents of f for 1 <= k < n.  f must start with 1*q^0."""
+    """Product exponents of f for 1 <= k < n.  f must start with 1*q^0.
+
+    The recurrence runs on each candidate for t from ``_kernels.quotients``
+    until its exponents pass ``_satisfies_log_derivative``, so every result
+    is proved.  The loop ends: t = -q F'/F has integer coefficients, so at
+    the first slot width that holds them the candidate is t itself, every
+    division in the recurrence is exact, s = t, and the check passes.
+    """
     if n < 1:
         raise ValueError("order must be >= 1")
     if f.is_zero() or f.val != 0 or f.coeffs[0] != 1:
@@ -105,20 +123,17 @@ def prodmake(f, n):
     g = gcd(*(i for i, x in enumerate(c) if x)) or 1
     c = c[::g]  # f is exactly F(q^g), F of order m = ceil(n/g)
     m = len(c)
-    t = _kernels.quotient([-i * x for i, x in enumerate(c)], c)  # t = -q F'/F
-    exponents = {}
-    divsum = [0] * m
-    for k in range(1, m):
-        a = (t[k] - divsum[k]) // k
-        if a:
-            exponents[k] = a
-            for mult in range(2 * k, m, k):
-                divsum[mult] += k * a
-    # soundness: the recovered product must reproduce the input exactly;
-    # the check is packed, the dense ``expand_exponents`` its test oracle
-    if not _kernels.matches_product(c, exponents.items()):
-        raise AssertionError("product re-expansion does not match input")
-    return EtaExponents({g * k: a for k, a in exponents.items()}, n)
+    for t in _kernels.quotients([-i * x for i, x in enumerate(c)], c):  # t = -q F'/F
+        exponents = {}
+        s = [0] * m  # the divisor sums of the exponents found so far
+        for k in range(1, m):
+            a = (t[k] - s[k]) // k
+            if a:
+                exponents[k] = a
+                for mult in range(k, m, k):
+                    s[mult] += k * a
+        if _satisfies_log_derivative(c, s):
+            return EtaExponents({g * k: a for k, a in exponents.items()}, n)
 
 
 def detect_period(e, m):

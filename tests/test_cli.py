@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from qdissect import registry as registry_mod, signscan
+from qdissect import products, registry as registry_mod, signscan
 from qdissect.cli import main
+from qdissect.exprlang import SLACK
 from qdissect.series import MAX_LENGTH, Series
 
 
@@ -394,6 +395,47 @@ def test_zero_divisor_is_a_one_line_error(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: NonUnitLeadingCoefficient: cannot invert the zero series"
                    " (a divisor is zero below q^4696)\n")
+
+
+def test_a_zero_divisor_is_probed_alone(capsys, monkeypatch):
+    # the divisor is zero at every order up to 49 + MAX_SLACK: probing it
+    # alone ends the call without expanding R(q)^100 at a deeper retry
+    # (which took seconds), with the message of the last retry
+    orders = []
+    expand = products.product_expand
+
+    def spy(p, n, *args):
+        if any(f.power == 100 for f in p.factors):
+            orders.append(n)
+        return expand(p, n, *args)
+
+    monkeypatch.setattr(products, "product_expand", spy)
+    code, out, err = run(capsys, "expand", "R(q)^100/(H(q)-H(q))", "--order", "49")
+    assert (code, out) == (2, "")
+    assert err == ("error: NonUnitLeadingCoefficient: cannot invert the zero series"
+                   " (a divisor is zero below q^4145)\n")
+    assert orders == [49 + SLACK]
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (("expand", "-R(q)", "--order", "5"), ("expand", "0-R(q)", "--order", "5")),
+        (("expand", "--order", "5", "-R(q)"), ("expand", "0-R(q)", "--order", "5")),
+        (("dissect", "-R(q)", "--mod", "5", "--order", "40"),
+         ("dissect", "0-R(q)", "--mod", "5", "--order", "40")),
+        (("prodmake", "-q+1", "--order", "10"), ("prodmake", "1-q", "--order", "10")),
+        (("verify", "-G(q)", "-Gsum(q)", "--order", "30"),
+         ("verify", "0-G(q)", "0-Gsum(q)", "--order", "30")),
+    ],
+    ids=["expand", "expand-after-option", "dissect", "prodmake", "verify"],
+)
+def test_an_expression_may_start_with_minus(capsys, argv, same_as):
+    # argparse reads a word that starts with '-' as an option; an expression
+    # that names no option is taken as the expression
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *same_as)
 
 
 def test_order_validation(capsys):

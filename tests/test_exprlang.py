@@ -337,6 +337,33 @@ def test_zero_divisor_gives_up_past_max_slack(text):
         Evaluator().eval(text, 100)
 
 
+def test_a_divisor_zero_at_the_working_order_is_probed_at_doubling_orders(monkeypatch):
+    # q^40+q^41 is zero at working order 5 + SLACK and nonzero at twice
+    # that; the quotient's erosion then asks for about 2*40 + 5, and nothing
+    # is expanded anywhere near order 5 + MAX_SLACK
+    lengths = []
+    expand = products.product_expand
+
+    def spy(p, n, *args):
+        lengths.append(n)
+        return expand(p, n, *args)
+
+    monkeypatch.setattr(products, "product_expand", spy)
+    assert Evaluator().eval("1/(q^40+q^41)", 5) == Series(-40, [(-1) ** i for i in range(45)], 5)
+    assert max(lengths) < 5 * 40
+
+
+def test_zero_divisor_under_a_substitution_gives_up_on_its_scale():
+    # subst(e, 3) evaluates e at a third of the working order, so a divisor
+    # in e is probed up to ceil((100 + MAX_SLACK) / 3), and one that starts
+    # below that is found
+    with pytest.raises(NonUnitLeadingCoefficient,
+                       match=rf"zero below q\^{-(-(100 + MAX_SLACK) // 3)}\)$"):
+        Evaluator().eval("subst(1/(q-q),3)", 100)
+    assert Evaluator().eval("subst(1/(q^1300+q^1301),3)", 5) == \
+        Evaluator().eval("1/(q^3900+q^3903)", 5)
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="the interpreter has no int <-> str digit limit")
 def test_literal_past_the_digit_limit_is_a_parse_error():

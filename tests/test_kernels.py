@@ -221,9 +221,19 @@ def quotient_operands(draw):
     return _kernels.conv([word(20) for _ in range(n)], b, n), b
 
 
+def first_quotient(a, b):
+    """The first candidate x of ``_kernels.quotients`` with x*b == a, and the
+    candidates refused before it."""
+    refused = []
+    for x in _kernels.quotients(a, b):
+        if _kernels.conv(x, b, len(a)) == a:
+            return x, refused
+        refused.append(x)
+
+
 # at q = 2^16 the quotient [2^16 + 5, -1] reads as the digits [5, 0]: they
-# leave the slots' top bits unused, so only the exact check x*b == a can
-# refuse that width
+# leave the slots' top bits unused, so ``quotients`` yields them, and only
+# the exact product x*b == a refuses that width
 WRAPS_UNSEEN = ([2**16 + 5, 3 * (2**16 + 5) - 1], [1, 3])
 assert _kernels.conv([2**16 + 5, -1], WRAPS_UNSEEN[1], 2) == WRAPS_UNSEEN[0]
 assert _kernels._unpack(_kernels._pack_exact([2**16 + 5, -1], 2), 2, 2, _kernels._top(2, 2)) == [5, 0]
@@ -238,7 +248,13 @@ assert _kernels._unpack(_kernels._pack_exact([2**16 + 5, -1], 2), 2, 2, _kernels
 @settings(max_examples=60, deadline=None)  # a wide quotient takes up to ~1 s
 def test_quotient_matches_series_div(operands):
     a, b = operands
-    assert _kernels.quotient(a, b) == series_div(a, b)
+    assert first_quotient(a, b)[0] == series_div(a, b)
+
+
+def test_quotients_yield_a_wrapped_candidate_that_the_product_refuses():
+    x, refused = first_quotient(*WRAPS_UNSEEN)
+    assert x == [2**16 + 5, -1]
+    assert [5, 0] in refused
 
 
 def test_pack_exact_takes_entries_wider_than_the_slot():

@@ -1,4 +1,5 @@
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdissect import _kernels, load_registry, products
+from qdissect import prodmake as prodmake_mod
 from qdissect.errors import NotUnit, OrderExceeded
 from qdissect.exprlang import Evaluator
 from qdissect.products import PochFactor, QProduct
 from qdissect.prodmake import (
     EtaExponents,
     PeriodView,
+    _satisfies_log_derivative,
     detect_period,
     expand_exponents,
     prodmake,
@@ -130,10 +133,9 @@ def test_expand_exponents_of_a_theorem_slice_at_length_400():
     assert expand_exponents(table, 400).coefficients(0, 400) == want
 
 
-# -- the packed re-expansion check -------------------------------------------
+# -- the log-derivative check ------------------------------------------------
 
-# mixed signs, |a| <= 12 (both sides of the binomial-series switch at 8), and
-# factors at or past the length n
+# mixed signs, |a| <= 12, and factors at or past the length n
 exponent_tables = st.dictionaries(st.integers(1, 50), st.integers(-12, 12).filter(bool), max_size=8)
 HUGE = st.sampled_from([2**1100, -(2**1100), 2**1100 + 7, -(3**700) - 1, 2**3000])
 
@@ -142,9 +144,26 @@ def max_bits(c):
     return max(map(abs, c)).bit_length()
 
 
-def product_bits(exponents, n):
-    """``_kernels._product_bits`` on the pairs that act below q^n."""
-    return _kernels._product_bits([(k, a) for k, a in exponents.items() if 0 < k < n and a], n)
+def divisor_sums(exponents, n):
+    """s_m = sum_(d|m) d*a_d for m < n over the pairs (d, a); a pair with
+    d >= n does not act."""
+    s = [0] * n
+    for d, a in exponents:
+        if 0 < d < n:
+            for m in range(d, n, d):
+                s[m] += d * a
+    return s
+
+
+def log_check(c, exponents):
+    """prodmake's check of c against prod (1-q^d)^a over the pairs (d, a)."""
+    return _satisfies_log_derivative(c, divisor_sums(exponents, len(c)))
+
+
+def check_slot(c, exponents):
+    """Bits per slot of the one ``conv`` in the check on c and these exponents."""
+    s = divisor_sums(exponents, len(c))
+    return 8 * _kernels._slot_bytes(max_bits(s) + max_bits(c) + len(c).bit_length())
 
 
 @given(exponent_tables, st.integers(1, 50))
@@ -152,11 +171,10 @@ def product_bits(exponents, n):
 @example({1: 12, 2: -9}, 2)
 @example({40: -3}, 30)
 @settings(max_examples=150, deadline=None)
-def test_packed_check_accepts_the_product(exponents, n):
+def test_log_derivative_check_accepts_the_product(exponents, n):
     want = naive_product(exponents, n)
     assert want == expand_exponents(exponents, n).coefficients(0, n)
-    assert max_bits(want) <= product_bits(exponents, n)
-    assert _kernels.matches_product(want, exponents.items())
+    assert log_check(want, exponents.items())
 
 
 @given(st.dictionaries(st.integers(1, 9), HUGE, min_size=1, max_size=3),
@@ -165,60 +183,56 @@ def test_packed_check_accepts_the_product(exponents, n):
 @example({1: -(2**1100)}, {}, 2)
 @example({3: 2**3000, 1: -(2**1100)}, {2: 5}, 12)
 @settings(max_examples=40, deadline=None)
-def test_packed_check_with_exponents_past_float_range(huge, exponents, n):
+def test_log_derivative_check_with_exponents_past_float_range(huge, exponents, n):
     # a >= 2**1100 overflows a float; the dense expansion is the oracle
     exponents = {**exponents, **huge}
     want = expand_exponents(exponents, n).coefficients(0, n)
-    assert max_bits(want) <= product_bits(exponents, n)
-    assert _kernels.matches_product(want, exponents.items())
+    assert log_check(want, exponents.items())
 
 
 @given(exponent_tables, st.integers(1, 50), st.data())
 @settings(max_examples=100, deadline=None)
-def test_packed_check_rejects_one_coefficient_off_by_one(exponents, n, data):
+def test_log_derivative_check_rejects_one_coefficient_off_by_one(exponents, n, data):
     c = naive_product(exponents, n)
     c[data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([-1, 1]))
-    assert not _kernels.matches_product(c, exponents.items())
+    assert not log_check(c, exponents.items())
 
 
 @given(exponent_tables, st.integers(2, 50), st.data())
 @settings(max_examples=100, deadline=None)
-def test_packed_check_rejects_a_forgery_that_agrees_at_q_equal_2_to_the_slot(exponents, n, data):
-    # f' = f + 2^k q^i - q^(i+1) has the value of f at q = 2^k, k the slot f
-    # alone would get; only a slot sized for f' as well tells them apart
+def test_log_derivative_check_rejects_a_forgery_that_agrees_at_q_equal_2_to_the_slot(exponents, n, data):
+    # f' = f + 2^k q^i - q^(i+1) has the value of f at q = 2^k, k the slot
+    # the check's product gets on f; only a slot sized for f' as well tells
+    # them apart
     c = naive_product(exponents, n)
     i = data.draw(st.integers(0, n - 2))
-    k = 8 * _kernels._slot_bytes(max(product_bits(exponents, n), max_bits(c)))
+    k = check_slot(c, exponents.items())
     forged = list(c)
     forged[i] += 1 << k
     forged[i + 1] -= 1
     value = lambda xs: sum(x << k * j for j, x in enumerate(xs))
     assert value(forged) == value(c)
-    assert _kernels.matches_product(c, exponents.items())
-    assert not _kernels.matches_product(forged, exponents.items())
+    assert log_check(c, exponents.items())
+    assert not log_check(forged, exponents.items())
 
 
-def test_packed_check_lets_the_denominator_overflow_the_slot(monkeypatch):
+def test_log_derivative_check_lets_the_denominator_overflow_the_slot():
     # psi(q)^8 = (q^2;q^2)^16 / (q;q)^8 has a = 8 at even d and -8 at odd d:
     # at n = 150 its coefficients have 22 bits, its denominator
-    # prod_(d odd) (1-q^d)^8 has 57.  den's factors below q^75 act on
-    # pack(c) by shift-subtracts, each cut to n slots, and the rest enter
-    # num, so only c and the product, never den, need the slot: a slot sized
-    # for c alone (which here is the product) must accept c and refuse c
-    # with one coefficient off by one
+    # prod_(d odd) (1-q^d)^8 has 57, past the slot c alone gets.  The check
+    # never builds den: it must accept c and refuse c with one coefficient
+    # off by one
     n = 150
     exponents = {d: 8 if d % 2 == 0 else -8 for d in range(1, n)}
     c = naive_product(exponents, n)
     den = naive_product({d: -a for d, a in exponents.items() if a < 0}, n)
     assert max_bits(c) == 22 and max_bits(den) >= 8 * _kernels._slot_bytes(max_bits(c))
-    assert _kernels.matches_product(c, exponents.items())
-    monkeypatch.setattr(_kernels, "_product_bits", lambda pairs, n: max_bits(c))
-    assert _kernels.matches_product(c, exponents.items())
+    assert log_check(c, exponents.items())
     for i in (0, 1, 2, 75, 148, 149):
         for step in (-1, 1):
             off = list(c)
             off[i] += step
-            assert not _kernels.matches_product(off, exponents.items())
+            assert not log_check(off, exponents.items())
 
 
 def times_factor_power(c, d, a):
@@ -235,8 +249,8 @@ def times_factor_power(c, d, a):
 
 @st.composite
 def around_the_midpoint(draw):
-    # factors at d within 3 of h = ceil(n/2), where the check splits them,
-    # and maybe one exponent past float range at some d >= h
+    # factors at d within 3 of h = ceil(n/2), where a factor's square leaves
+    # the order, and maybe one exponent past float range at some d >= h
     n = draw(st.integers(1, 60))
     h = (n + 1) // 2
     exponents = draw(st.dictionaries(st.integers(max(1, h - 3), h + 3),
@@ -254,7 +268,7 @@ def around_the_midpoint(draw):
 @example(({2: 3}, {4: 2**300}, 7), -1)
 @example(({1: 2, 2: -3, 3: -1, 4: 12, 5: -8}, {}, 8), 1)  # for the forgery below
 @settings(max_examples=150, deadline=None)
-def test_packed_check_splits_its_factors_at_the_midpoint(case, step):
+def test_log_derivative_check_around_the_midpoint(case, step):
     # every factor with 2d >= n is 1 - a*q^d below q^n, whatever a; the
     # oracle multiplies every factor out, so it does not rely on that
     exponents, huge, n = case
@@ -263,47 +277,92 @@ def test_packed_check_splits_its_factors_at_the_midpoint(case, step):
     for d, a in huge.items():
         c = times_factor_power(c, d, a)
     exponents = {**exponents, **huge}
-    assert _kernels.matches_product(c, exponents.items())
+    assert log_check(c, exponents.items())
     for i in {h - 1, h} & set(range(n)):
         off = list(c)
         off[i] += step
-        assert not _kernels.matches_product(off, exponents.items())
+        assert not log_check(off, exponents.items())
     if h < n:
-        # f + 2^k q^(h-1) - q^h has the value of f at q = 2^k, k the slot f
-        # alone gets
-        k = 8 * _kernels._slot_bytes(max(product_bits(exponents, n), max_bits(c)))
+        # f + 2^k q^(h-1) - q^h has the value of f at q = 2^k, k the slot
+        # the check's product gets on f
+        k = check_slot(c, exponents.items())
         forged = list(c)
         forged[h - 1] += 1 << k
         forged[h] -= 1
-        assert not _kernels.matches_product(forged, exponents.items())
+        assert not log_check(forged, exponents.items())
 
 
-def test_packed_check_sizes_its_slot_for_the_list_as_well():
+def test_log_derivative_check_reads_the_list_itself():
     # pairs with d >= n or a = 0 do not act; where the product is 1 or
-    # small, the slot must still hold max|c|
-    assert _kernels.matches_product([1, 0, 0], [])
-    assert not _kernels.matches_product([1, 2**70], [(5, 3)])
-    assert _kernels.matches_product([1, -1, 0], [(1, 1), (2, 0), (4, 7)])
+    # small, the list must still be read in full
+    assert log_check([1, 0, 0], [])
+    assert not log_check([1, 2**70], [(5, 3)])
+    assert log_check([1, -1, 0], [(1, 1), (2, 0), (4, 7)])
 
 
-def test_product_bits_bound_the_theorem_slices_at_length_400():
-    # each slice of the four 5-dissections at order 2000 is F(q^5), F of
-    # length 400; the bound must hold and stay within two slot bytes
+def theorem_slices():
+    """The 20 slices of the four 5-dissections at order 2000, each F(q^5)
+    with F of length 400, as (F's coefficients, F's exponents)."""
     reg, ev = load_registry(), Evaluator()
-    slot_bytes = []
     for target in ("alpha", "beta", "gamma", "delta"):
         for _, _, jptext in reg.dissection(target).terms:
             f = ev.eval(jptext, 2000)
-            table = {k // 5: a for k, a in prodmake(f, 2000).exponents.items()}
-            true = max_bits(f.coeffs[::5])
-            bound = product_bits(table, 400)
-            assert true <= bound
-            assert _kernels._slot_bytes(bound) <= _kernels._slot_bytes(true) + 2
-            slot_bytes.append(_kernels._slot_bytes(bound))
-    assert len(slot_bytes) == 20 and max(slot_bytes) <= 16
+            yield f.coeffs[::5], {k // 5: a for k, a in prodmake(f, 2000).exponents.items()}
 
 
-def test_prodmake_checks_on_the_packed_path(monkeypatch):
+def test_theorem_slices_are_accepted_at_their_first_unwrapped_width():
+    # t has 11-12 bits on every slice: the 8-bit slot wraps it visibly, and
+    # the first candidate ``quotients`` yields, at 16 bits, is accepted
+    checked, check = [], prodmake_mod._satisfies_log_derivative
+
+    def spy(c, s):
+        checked.append((max_bits(s), check(c, s)))
+        return checked[-1][1]
+
+    with mock.patch.object(prodmake_mod, "_satisfies_log_derivative", spy):
+        for _ in theorem_slices():
+            assert len(checked) == 1 and checked[0][1]
+            assert 8 - 1 <= checked[0][0] < 16 - 1
+            checked.clear()
+
+
+def test_log_derivative_check_agrees_with_the_dense_oracle_on_the_theorem_slices():
+    # 10 copies per slice with one coefficient off by one and 10 with one
+    # exponent off by one, 200 of each over the 20 slices: the dense
+    # re-expansion reproduces none of them, and the check refuses each
+    rng = random.Random(2020)
+    slices = list(theorem_slices())
+    assert len(slices) == 20
+    for c, table in slices:
+        n = len(c)
+        assert expand_exponents(table, n).coefficients(0, n) == c
+        assert log_check(c, table.items())
+        for _ in range(10):
+            off = list(c)
+            off[rng.randrange(n)] += rng.choice((-1, 1))
+            assert not log_check(off, table.items())
+        for _ in range(10):
+            moved = dict(table)
+            d = rng.randrange(1, n)
+            moved[d] = moved.get(d, 0) + rng.choice((-1, 1))
+            assert expand_exponents(moved, n).coefficients(0, n) != c
+            assert not log_check(c, moved.items())
+
+
+@given(exponent_tables, st.integers(1, 50), st.data())
+@settings(max_examples=100, deadline=None)
+def test_log_derivative_check_agrees_with_the_dense_oracle(exponents, n, data):
+    c = expand_exponents(exponents, n).coefficients(0, n)
+    if data.draw(st.booleans()):
+        c[data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([-1, 1]))
+    else:
+        d = data.draw(st.integers(1, 50))
+        exponents = {**exponents, d: exponents.get(d, 0) + data.draw(st.sampled_from([-1, 1]))}
+    dense = expand_exponents(exponents, n).coefficients(0, n)
+    assert log_check(c, exponents.items()) == (dense == c)
+
+
+def test_prodmake_never_runs_the_dense_reexpansion(monkeypatch):
     # the dense re-expansion is the tests' oracle only; prodmake never runs it
     def dense(*args):
         raise AssertionError("dense re-expansion called")
@@ -343,19 +402,29 @@ def test_prodmake_of_1_over_1_minus_2q_counts_lyndon_words():
     assert e.exponents == {m: -x for m, x in lyndon.items()}
 
 
-def test_prodmake_divides_without_newton_or_conv():
-    # t = -q F'/F is one packed 2-adic quotient (``_kernels.quotient``) and
-    # the check multiplies one packed integer: no Series.div, no conv
+def test_prodmake_divides_without_newton_and_checks_with_one_conv():
+    # t = -q F'/F comes from one packed 2-adic quotient (``_kernels.quotients``),
+    # never Series.div or Newton inversion, and each candidate the recurrence
+    # runs on costs the check one ``conv``
     f = Evaluator().eval(
         "JP(q^5,q^5,q^25,q^25,q^25,q^25,q^45,q^45;"
         "q^10,q^10,q^10,q^20,q^30,q^40,q^40,q^40;q^50)",
         2000,
     )
+    candidates, propose = [], _kernels.quotients
+
+    def quotients(a, b):
+        for t in propose(a, b):
+            candidates.append(t)
+            yield t
+
     with mock.patch.object(Series, "div", side_effect=AssertionError("Series.div")), \
-            mock.patch.object(_kernels, "conv", side_effect=AssertionError("conv")), \
-            mock.patch.object(_kernels, "quotient", wraps=_kernels.quotient) as quotient:
+            mock.patch.object(Series, "invert", side_effect=AssertionError("Series.invert")), \
+            mock.patch.object(_kernels, "conv", wraps=_kernels.conv) as conv, \
+            mock.patch.object(_kernels, "quotients", wraps=quotients) as calls:
         e = prodmake(f, 2000)
-    assert quotient.call_count == 1
+    assert calls.call_count == 1
+    assert conv.call_count == len(candidates) == 1
     assert max(e.exponents) == 5 * 399
 
 
